@@ -77,8 +77,13 @@ class Corpus:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    # only "\n" ends a line; a stray "\r" stays in the line, where the
+    # tokenizer treats it as whitespace, so it cannot shift a parallel pair
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # text after the final newline, not a blank line
+    return lines
 
 
 def load_corpus(source_path, target_path=None, tokenizer: str = "whitespace") -> Corpus:

@@ -46,9 +46,6 @@ class FeatureSet:
     def fitted(self) -> bool:
         return self.ground_size > 0
 
-    def weight(self, ngram: NGram) -> float:
-        return self.features[ngram].weight
-
     def __len__(self) -> int:
         return len(self.features)
 

@@ -6,6 +6,11 @@ history length down to zero so the interpolated smoother can recurse.
 The predicted-event space is the regular vocabulary plus the end marker
 and the unknown token, and every conditional distribution over it sums
 to one (exactly for MLE on seen histories, within rounding otherwise).
+
+Sentences are scored in batches against sorted integer-key tables, one
+order at a time (the sorted-array layout of Heafield's KenLM). The
+recursive ``_prob`` is the scalar definition; batch scores reproduce it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, Sentence
 from .errors import ConfigError, EmptyCorpusError
@@ -49,8 +59,85 @@ def parse_smoothing(text: str) -> tuple[str, float]:
     )
 
 
+def _padded(
+    sentences: Iterable[Sentence | Sequence[str]], vocab, order: int, markers: bool
+) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """The sequences sentences are counted and scored over, concatenated.
+
+    Tokens outside the vocabulary become the unknown marker; literal
+    marker strings in running text are out-of-vocabulary too. With
+    markers each sequence is start-padded to a full history and ends with
+    the end marker, whose event is scored. Returns the tokens, each
+    sentence's sequence length, each position's depth (the tokens before
+    it in its sequence) and the depth of every sentence's first event.
+    """
+    first = order - 1 if markers else 0
+    start_pad, end = ((BOS,) * first, (EOS,)) if markers else ((), ())
+    flat: list[str] = []
+    lens: list[int] = []
+    for x in sentences:
+        tokens = x.source_tokens if isinstance(x, Sentence) else x
+        start = len(flat)
+        flat.extend(start_pad)
+        flat.extend(t if t in vocab else UNK for t in tokens)
+        flat.extend(end)
+        lens.append(len(flat) - start)
+    lens_a = np.array(lens, dtype=np.int64)
+    depth = np.arange(len(flat)) - np.repeat(np.cumsum(lens_a) - lens_a, lens_a)
+    return flat, lens_a, depth, first
+
+
+@dataclass(frozen=True)
+class _OrderTable:
+    """One order's counts under sorted int64 keys.
+
+    With ``B`` token ids, a history's key is ``B * rank(history minus its
+    last token) + id(last token)``, the rank taken among the next-shorter
+    histories; the empty history's key is 0. An n-gram's key is ``B *
+    rank(its history) + id(its last token)``. A rank is below the table
+    size, so keys fit in int64 at any order.
+    """
+
+    hist_keys: np.ndarray  # sorted; a history's rank is its index here
+    hist_total: np.ndarray  # summed count of each history's n-grams
+    hist_types: np.ndarray  # distinct continuations of each history
+    keys: np.ndarray  # sorted n-gram keys
+    counts: np.ndarray  # aligned with keys
+
+
+def _rank(sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int) -> np.ndarray:
+    """Index of each key ``base * parent + token`` in ``sorted_keys``.
+
+    -1 where the key is absent or the parent rank is -1.
+    """
+    out = np.full(len(parent), -1, dtype=np.int64)
+    ok = np.flatnonzero(parent >= 0)
+    if len(sorted_keys) and len(ok):
+        query = parent[ok] * base + token[ok]
+        idx = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
+        out[ok] = np.where(sorted_keys[idx] == query, idx, -1)
+    return out
+
+
+def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``values[idx]``, with 0 where the index is -1."""
+    out = np.zeros(len(idx), dtype=values.dtype)
+    ok = idx >= 0
+    out[ok] = values[idx[ok]]
+    return out
+
+
+def _empty_history(tables: list[_OrderTable], n: int) -> np.ndarray:
+    """Rank of the empty history, repeated n times; -1 if no unigram was counted."""
+    return np.full(n, 0 if len(tables[0].hist_keys) else -1, dtype=np.int64)
+
+
 class NgramLanguageModel:
-    """Counts plus a smoothing rule; probabilities are computed on demand."""
+    """Counts plus a smoothing rule; probabilities are computed on demand.
+
+    ``counts`` must not change after construction: the scoring tables and
+    the scalar path's history statistics are derived from it on first use.
+    """
 
     def __init__(
         self,
@@ -69,17 +156,6 @@ class NgramLanguageModel:
         self.unk_floor = unk_floor
         self.vocab = vocab
         self.counts = counts
-        self._hist_total: dict[int, dict[tuple[str, ...], int]] = {}
-        self._hist_types: dict[int, dict[tuple[str, ...], int]] = {}
-        for k, table in counts.items():
-            totals: dict[tuple[str, ...], int] = {}
-            types: dict[tuple[str, ...], int] = {}
-            for ngram, c in table.items():
-                hist = ngram[:-1]
-                totals[hist] = totals.get(hist, 0) + c
-                types[hist] = types.get(hist, 0) + 1
-            self._hist_total[k] = totals
-            self._hist_types[k] = types
 
     @property
     def event_vocab_size(self) -> int:
@@ -93,6 +169,61 @@ class NgramLanguageModel:
         if token in self.vocab or token in (BOS, EOS, UNK):
             return token
         return UNK
+
+    def _per_history(self, value) -> dict[int, dict[tuple[str, ...], int]]:
+        out: dict[int, dict[tuple[str, ...], int]] = {}
+        for k, table in self.counts.items():
+            sums: dict[tuple[str, ...], int] = {}
+            for ngram, c in table.items():
+                hist = ngram[:-1]
+                sums[hist] = sums.get(hist, 0) + value(c)
+            out[k] = sums
+        return out
+
+    @cached_property
+    def _hist_total(self) -> dict[int, dict[tuple[str, ...], int]]:
+        """Per order, each history's summed count (scalar path only)."""
+        return self._per_history(lambda c: c)
+
+    @cached_property
+    def _hist_types(self) -> dict[int, dict[tuple[str, ...], int]]:
+        """Per order, each history's number of distinct continuations (scalar path only)."""
+        return self._per_history(lambda c: 1)
+
+    @cached_property
+    def _tables(self) -> tuple[dict[str, int], list[_OrderTable]]:
+        """Token ids and one sorted-key table per order, built on first batch scoring."""
+        tok_id = {tok: i for i, tok in enumerate(chain(self.vocab, (EOS, UNK, BOS)))}
+        base = len(tok_id)
+        tables: list[_OrderTable] = []
+        for k in range(1, self.order + 1):
+            table = self.counts.get(k, {})
+            n = len(table)
+            try:
+                ids = np.fromiter(
+                    map(tok_id.__getitem__, chain.from_iterable(table)), dtype=np.int64, count=n * k
+                ).reshape(n, k)
+            except KeyError as exc:
+                raise ConfigError(f"order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+            counts = np.fromiter(table.values(), dtype=np.int64, count=n)
+            if k == 1:
+                hist_key = np.zeros(n, dtype=np.int64)
+            else:
+                prefix = _empty_history(tables, n)
+                for j in range(1, k - 1):
+                    prefix = _rank(tables[j].hist_keys, prefix, ids[:, j - 1], base)
+                if (prefix < 0).any():
+                    raise ConfigError(f"order-{k} counts extend a history no shorter n-gram has")
+                hist_key = prefix * base + ids[:, k - 2]
+            hist_keys, hist_rank, hist_types = np.unique(
+                hist_key, return_inverse=True, return_counts=True
+            )
+            hist_total = np.zeros(len(hist_keys), dtype=np.int64)
+            np.add.at(hist_total, hist_rank, counts)
+            keys = hist_rank * base + ids[:, k - 1]
+            by_key = np.argsort(keys)
+            tables.append(_OrderTable(hist_keys, hist_total, hist_types, keys[by_key], counts[by_key]))
+        return tok_id, tables
 
     def _prob(self, word: str, hist: tuple[str, ...]) -> float:
         k = len(hist) + 1
@@ -153,31 +284,19 @@ def train_lm(
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
-    freq: Counter[str] = Counter()
-    for sent in corpus:
-        freq.update(sent.source_tokens)
-    vocab = {tok for tok, c in freq.items() if c >= unk_floor}
+    vocab = corpus_vocab(corpus, unk_floor)
     if extra_vocab is not None:
         vocab.update(extra_vocab)
-    vocab.discard(BOS)
-    vocab.discard(EOS)
-    vocab.discard(UNK)
+    vocab -= {BOS, EOS, UNK}
 
-    counts: dict[int, dict[tuple[str, ...], int]] = {k: {} for k in range(1, order + 1)}
-    for sent in corpus:
-        mapped = tuple(t if t in vocab else UNK for t in sent.source_tokens)
-        if markers:
-            seq = (BOS,) * (order - 1) + mapped + (EOS,)
-            first = order - 1
-        else:
-            seq = mapped
-            first = 0
-        for i in range(first, len(seq)):
-            limit = min(order - 1, i)
-            for back in range(0, limit + 1):
-                table = counts[back + 1]
-                ngram = seq[i - back : i + 1]
-                table[ngram] = table.get(ngram, 0) + 1
+    flat, _, depth, first = _padded(corpus, vocab, order, markers)
+    counts: dict[int, dict[tuple[str, ...], int]] = {}
+    for k in range(1, order + 1):
+        # every length-k window that ends at an event; a window ending at
+        # position i stays inside i's sentence when depth[i] >= k - 1
+        ends = (depth >= max(first, k - 1)).tolist()
+        windows = zip(*(flat[j:] for j in range(k)))
+        counts[k] = dict(Counter(compress(windows, ends[k - 1 :])))
     return NgramLanguageModel(order, kind, add_k, markers, unk_floor, frozenset(vocab), counts)
 
 
@@ -189,31 +308,71 @@ def corpus_vocab(corpus: Corpus, unk_floor: int = 1) -> set[str]:
     return {tok for tok, c in freq.items() if c >= unk_floor}
 
 
-def log_prob(lm: NgramLanguageModel, x: Sentence | Sequence[str]) -> float:
-    """Natural-log probability of a sentence under the model.
+def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[str]]) -> list[float]:
+    """Natural-log probability of each sentence under the model, in order.
 
     With markers on, the end-marker event is included and histories are
     start-padded. An event the model gives zero probability (possible
-    only for MLE) makes the result negative infinity.
+    only for MLE) makes that sentence's result negative infinity.
+
+    All sentences are scored together, one order at a time, with the
+    float operations of the recursive ``_prob`` in the same order; each
+    result is the left-to-right sum of ``math.log`` of those
+    probabilities, so it equals the scalar definition exactly.
     """
-    tokens = x.source_tokens if isinstance(x, Sentence) else tuple(x)
-    # literal marker strings in running text are out-of-vocabulary, same as in training
-    mapped = tuple(t if t in lm.vocab else UNK for t in tokens)
-    order = lm.order
-    if lm.markers:
-        seq = (BOS,) * (order - 1) + mapped + (EOS,)
-        first = order - 1
-    else:
-        seq = mapped
-        first = 0
-    total = 0.0
-    for i in range(first, len(seq)):
-        hist = seq[max(0, i - order + 1) : i]
-        p = lm._prob(seq[i], hist)
-        if p <= 0.0:
-            return float("-inf")
-        total += math.log(p)
-    return total
+    tok_id, tables = lm._tables
+    base = len(tok_id)
+    flat, lens, depth, first = _padded(sentences, lm.vocab, lm.order, lm.markers)
+    tok = np.fromiter(map(tok_id.__getitem__, flat), dtype=np.int64, count=len(flat))
+    prev_tok = np.zeros_like(tok)
+    prev_tok[1:] = tok[:-1]
+    events = np.flatnonzero(depth >= first)
+    word = tok[events]
+    # the history length the scalar call gets: order-1, or fewer without markers
+    top = np.minimum(depth[events], lm.order - 1)
+
+    v = lm.event_vocab_size
+    p = np.full(len(events), 1.0 / v)
+    # rank of the k-1 tokens before each position among the histories of
+    # that length; -1 where unseen or where the sentence has fewer before it
+    hist = _empty_history(tables, len(tok))
+    for k, table in enumerate(tables, start=1):
+        if k > 1:
+            parent = np.full(len(tok), -1, dtype=np.int64)
+            parent[1:] = hist[:-1]
+            parent[depth < k - 1] = -1
+            hist = _rank(table.hist_keys, parent, prev_tok, base)
+        h = hist[events]
+        c_hist = _at(table.hist_total, h)
+        if lm.smoothing == "interpolated-wb":
+            # blend where the history was seen, else keep the lower-order value
+            sel = np.flatnonzero(c_hist > 0)
+        else:
+            sel = np.flatnonzero(top == k - 1)
+        h, c_hist = h[sel], c_hist[sel]
+        c = _at(table.counts, _rank(table.keys, h, word[sel], base))
+        if lm.smoothing == "interpolated-wb":
+            n = _at(table.hist_types, h)
+            p[sel] = (c + n * p[sel]) / (c_hist + n)
+        elif lm.smoothing == "mle":
+            # an unseen history has c == 0, so the clamp yields the scalar 0.0
+            p[sel] = c / np.maximum(c_hist, 1)
+        else:
+            p[sel] = (c + lm.add_k) / (c_hist + lm.add_k * v)
+
+    probs = iter(p.tolist())
+    out: list[float] = []
+    for n_events in (lens - first).tolist():
+        total = 0.0
+        for q in islice(probs, n_events):
+            total += math.log(q) if q > 0.0 else -math.inf
+        out.append(total)
+    return out
+
+
+def log_prob(lm: NgramLanguageModel, x: Sentence | Sequence[str]) -> float:
+    """Natural-log probability of one sentence; see ``log_probs``."""
+    return log_probs(lm, [x])[0]
 
 
 def save_lm(lm: NgramLanguageModel, path) -> None:
@@ -251,6 +410,8 @@ def load_lm(path) -> NgramLanguageModel:
         int(k): {tuple(key.split(" ")): int(c) for key, c in table.items()}
         for k, table in payload["counts"].items()
     }
+    if any(set(map(len, table)) - {k} for k, table in counts.items()):
+        raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
     return NgramLanguageModel(
         order=int(payload["order"]),
         smoothing=payload["smoothing"],

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, Sentence
 from .errors import ConfigError
-from .lm import NgramLanguageModel, corpus_vocab, log_prob, train_lm
+from .lm import NgramLanguageModel, corpus_vocab, log_probs, train_lm
 from .submodular import SelectionState, SelectionStep
 
 
@@ -38,26 +39,32 @@ def _check_pair(lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> None:
         raise ConfigError("models disagree on sentence markers; train the pair together")
 
 
+def _score(
+    sentences: Sequence[Sentence], lm_in: NgramLanguageModel, lm_out: NgramLanguageModel
+) -> list[ScoredSentence]:
+    _check_pair(lm_in, lm_out)
+    scored = []
+    for sent, lp_in, lp_out in zip(sentences, log_probs(lm_in, sentences), log_probs(lm_out, sentences)):
+        diff = lp_in - lp_out
+        if math.isnan(diff):
+            scored.append(ScoredSentence(sent.id, float("nan"), sent.cost, defined=False))
+        else:
+            scored.append(ScoredSentence(sent.id, diff / sent.cost, sent.cost))
+    return scored
+
+
 def xent_score(sentence, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> ScoredSentence:
     """Length-normalized log-probability difference for one sentence.
 
     If both models assign zero probability the difference is undefined;
     the sentence is flagged and will rank after every defined one.
     """
-    _check_pair(lm_in, lm_out)
-    lp_in = log_prob(lm_in, sentence)
-    lp_out = log_prob(lm_out, sentence)
-    length = sentence.cost
-    diff = lp_in - lp_out
-    if math.isnan(diff):
-        return ScoredSentence(sentence.id, float("nan"), length, defined=False)
-    return ScoredSentence(sentence.id, diff / length, length)
+    return _score([sentence], lm_in, lm_out)[0]
 
 
 def score_corpus(ground: Corpus, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> list[ScoredSentence]:
-    """Score every ground sentence, in id order."""
-    _check_pair(lm_in, lm_out)
-    return [xent_score(sent, lm_in, lm_out) for sent in ground]
+    """Score every ground sentence, in id order, in one batch per model."""
+    return _score(ground.sentences, lm_in, lm_out)
 
 
 def train_domain_pair(

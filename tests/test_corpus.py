@@ -105,6 +105,18 @@ class TestLoadParallel:
         with pytest.raises(AlignmentError, match="line 2"):
             load_corpus(src, tgt)
 
+    def test_stray_carriage_return_is_whitespace_not_a_line_end(self, tmp_path):
+        src = tmp_path / "s.txt"
+        tgt = tmp_path / "t.txt"
+        src.write_bytes(b"a b\rc\nd e\n")
+        tgt.write_bytes(b"x y\nz\rw\n")
+        corpus = load_corpus(str(src), str(tgt))
+        assert [(s.source_tokens, s.target_tokens) for s in corpus] == [
+            (("a", "b", "c"), ("x", "y")),
+            (("d", "e"), ("z", "w")),
+        ]
+        assert corpus.n_skipped == 0
+
 
 class TestCorpusInvariants:
     def test_ids_must_be_contiguous(self):

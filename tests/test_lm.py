@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, EmptyCorpusError
 from subselect.lm import (
+    BOS,
     EOS,
     UNK,
     NgramLanguageModel,
     corpus_vocab,
     load_lm,
     log_prob,
+    log_probs,
     parse_smoothing,
     save_lm,
     train_lm,
 )
+from subselect.xent import score_corpus
 
 
 def corpus_of(*lines):
@@ -284,6 +287,27 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_lm(path)
 
+    @pytest.mark.parametrize(
+        "table, ngram, at_load",
+        [
+            ("2", "a b a", True),  # three tokens in the bigram table
+            ("2", "a q", False),  # a token outside the vocabulary
+            ("3", "c a b", False),  # extends (c,), which no bigram has as history
+        ],
+    )
+    def test_malformed_counts_rejected(self, tmp_path, table, ngram, at_load):
+        import json
+
+        path = tmp_path / "model.json"
+        save_lm(train_lm(corpus_of("a b"), order=3, extra_vocab={"c"}), path)
+        payload = json.loads(path.read_text())
+        payload["counts"][table][ngram] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            log_prob(load_lm(path), ["a", "b"])
+        if not at_load:
+            load_lm(path)
+
 
 class TestRandomizedConsistency:
     def test_random_sentences_never_score_above_zero(self):
@@ -292,3 +316,88 @@ class TestRandomizedConsistency:
         for _ in range(50):
             toks = [rng.choice("abcdz") for _ in range(rng.randint(0, 6))]
             assert log_prob(lm, toks) <= 0.0
+
+
+def scalar_log_prob(lm, tokens):
+    """The scalar definition: ``math.log`` of the recursive ``_prob`` over
+    each event, summed left to right, negative infinity at a zero."""
+    mapped = tuple(t if t in lm.vocab else UNK for t in tokens)
+    first = lm.order - 1 if lm.markers else 0
+    seq = (BOS,) * first + mapped + ((EOS,) if lm.markers else ())
+    total = 0.0
+    for i in range(first, len(seq)):
+        p = lm._prob(seq[i], seq[max(0, i - lm.order + 1) : i])
+        if p <= 0.0:
+            return float("-inf")
+        total += math.log(p)
+    return total
+
+
+TOKENS = ["a", "b", "c", "d", BOS, EOS, UNK]
+token_lists = st.lists(st.sampled_from(TOKENS), max_size=8)
+
+
+class TestBatchMatchesScalar:
+    """Batch scores equal the scalar definition bit for bit, no tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        train=st.lists(token_lists, min_size=1, max_size=6),
+        test=st.lists(st.lists(st.sampled_from(TOKENS + ["oov", "zzz"]), max_size=8), max_size=6),
+        order=st.integers(min_value=1, max_value=7),
+        smoothing=st.sampled_from(["mle", "add-k", "add-k:0.25", "interpolated-wb"]),
+        markers=st.booleans(),
+        unk_floor=st.sampled_from([1, 2]),
+    )
+    def test_random_models_and_sentences(self, train, test, order, smoothing, markers, unk_floor):
+        corpus = Corpus(tuple(Sentence(i, tuple(toks)) for i, toks in enumerate(train)))
+        lm = train_lm(corpus, order=order, smoothing=smoothing, markers=markers, unk_floor=unk_floor)
+        sentences = test + train
+        expected = [scalar_log_prob(lm, toks) for toks in sentences]
+        assert log_probs(lm, sentences) == expected
+        assert [log_prob(lm, toks) for toks in sentences] == expected
+
+    def test_mle_zero_probability_event_is_minus_infinity(self):
+        lm = train_lm(corpus_of("a b", "b c"), order=2, smoothing="mle")
+        # every unigram is seen, but "c" never follows "a"
+        assert log_probs(lm, [["a", "c"], ["a", "b"]]) == [
+            float("-inf"),
+            scalar_log_prob(lm, ["a", "b"]),
+        ]
+        assert math.isfinite(scalar_log_prob(lm, ["a", "b"]))
+
+    def test_both_models_minus_infinity_is_undefined(self):
+        lm_in = train_lm(corpus_of("a a b"), order=2, smoothing="mle")
+        lm_out = train_lm(corpus_of("a b b"), order=2, smoothing="mle")
+        ground = corpus_of("a b", "zzz", "a b b")
+        scored = score_corpus(ground, lm_in, lm_out)
+        assert [s.defined for s in scored] == [True, False, True]
+        assert math.isnan(scored[1].score)
+        assert scored[2].score == float("-inf")  # only the in-domain model gives zero
+        assert scored[0].score == (
+            scalar_log_prob(lm_in, ["a", "b"]) - scalar_log_prob(lm_out, ["a", "b"])
+        ) / 2
+
+    def test_keys_stay_exact_where_dense_keys_would_overflow(self):
+        rng = random.Random(6)
+        vocab = [f"w{i}" for i in range(2100)]
+        lines = [" ".join(rng.choices(vocab, k=rng.randint(3, 12))) for _ in range(400)]
+        lines += [" ".join(vocab[i : i + 10]) for i in range(0, len(vocab), 10)]
+        lm = train_lm(corpus_of(*lines), order=6, smoothing="interpolated-wb")
+        # one key per n-gram as a base-B number of its tokens would need B**6 > 2**63
+        assert (len(lm.vocab) + 3) ** 6 > 2**63
+        sentences = [line.split() for line in lines]
+        sentences += [rng.choices(vocab + ["oov"], k=8) for _ in range(40)]
+        assert log_probs(lm, sentences) == [scalar_log_prob(lm, toks) for toks in sentences]
+
+    def test_scoring_builds_no_scalar_history_tables(self, tmp_path):
+        lm = train_lm(corpus_of("a b a", "c b"), order=3)
+        save_lm(lm, tmp_path / "model.json")
+        for model in (lm, load_lm(tmp_path / "model.json")):
+            log_probs(model, [["a", "b"], ["c"]])
+            assert "_hist_total" not in vars(model)
+            assert "_hist_types" not in vars(model)
+
+    def test_empty_batch(self):
+        lm = train_lm(corpus_of("a b"), order=3)
+        assert log_probs(lm, []) == []
