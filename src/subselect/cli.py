@@ -18,7 +18,7 @@ from .corpus import TOKENIZERS, load_corpus
 from .errors import ConfigError, SubselectError
 from .features import FEATURE_WEIGHTINGS, extract_feature_set, fit_idf, load_feature_set, save_feature_set
 from .lm import corpus_vocab, load_lm, save_lm, train_lm
-from .oracle import GUARANTEE_FLOOR, ORACLE_MAX_SENTENCES, brute_force_optimal, brute_force_vectors, build_report
+from .oracle import GUARANTEE_FLOOR, brute_force_optimal, brute_force_vectors, build_report
 from .output import (
     read_selection_ids,
     write_report_files,
@@ -115,7 +115,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--lm-smoothing", default="interpolated-wb")
     sub.add_argument("--unk-floor", type=int, default=1)
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker bound for candidate scoring; never changes the output")
+                     help="must be >= 1; selection is single-threaded, so it never changes the output")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_select)
     subs["select"] = sub
@@ -415,10 +415,10 @@ def cmd_report(args) -> int:
     selections = [
         (Path(path).stem.split(".")[0], read_selection_ids(path)) for path in args.selection
     ]
+    # no budget is known here, so there is no optimum to compare against
     report = build_report(
         ground, features, concave, selections,
-        budget=0.0, cost_mode=args.cost_mode,
-        include_oracle=len(ground) <= ORACLE_MAX_SENTENCES,
+        budget=0.0, cost_mode=args.cost_mode, include_oracle=False,
     )
     write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")
     print(report.format_table(), file=sys.stderr)

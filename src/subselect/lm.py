@@ -27,6 +27,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence
 from .errors import ConfigError, EmptyCorpusError
+from .ngramkeys import depths, rank
 
 BOS = "<s>"
 EOS = "</s>"
@@ -83,19 +84,16 @@ def _padded(
         flat.extend(end)
         lens.append(len(flat) - start)
     lens_a = np.array(lens, dtype=np.int64)
-    depth = np.arange(len(flat)) - np.repeat(np.cumsum(lens_a) - lens_a, lens_a)
-    return flat, lens_a, depth, first
+    return flat, lens_a, depths(lens_a), first
 
 
 @dataclass(frozen=True)
 class _OrderTable:
-    """One order's counts under sorted int64 keys.
+    """One order's counts under sorted int64 keys (see ``ngramkeys``).
 
-    With ``B`` token ids, a history's key is ``B * rank(history minus its
-    last token) + id(last token)``, the rank taken among the next-shorter
-    histories; the empty history's key is 0. An n-gram's key is ``B *
-    rank(its history) + id(its last token)``. A rank is below the table
-    size, so keys fit in int64 at any order.
+    A history's key chains through the next-shorter histories; the empty
+    history's key is 0. An n-gram's key is ``B * rank(its history) +
+    id(its last token)``, with ``B`` token ids.
     """
 
     hist_keys: np.ndarray  # sorted; a history's rank is its index here
@@ -103,20 +101,6 @@ class _OrderTable:
     hist_types: np.ndarray  # distinct continuations of each history
     keys: np.ndarray  # sorted n-gram keys
     counts: np.ndarray  # aligned with keys
-
-
-def _rank(sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int) -> np.ndarray:
-    """Index of each key ``base * parent + token`` in ``sorted_keys``.
-
-    -1 where the key is absent or the parent rank is -1.
-    """
-    out = np.full(len(parent), -1, dtype=np.int64)
-    ok = np.flatnonzero(parent >= 0)
-    if len(sorted_keys) and len(ok):
-        query = parent[ok] * base + token[ok]
-        idx = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
-        out[ok] = np.where(sorted_keys[idx] == query, idx, -1)
-    return out
 
 
 def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -211,7 +195,7 @@ class NgramLanguageModel:
             else:
                 prefix = _empty_history(tables, n)
                 for j in range(1, k - 1):
-                    prefix = _rank(tables[j].hist_keys, prefix, ids[:, j - 1], base)
+                    prefix = rank(tables[j].hist_keys, prefix, ids[:, j - 1], base)
                 if (prefix < 0).any():
                     raise ConfigError(f"order-{k} counts extend a history no shorter n-gram has")
                 hist_key = prefix * base + ids[:, k - 2]
@@ -276,6 +260,16 @@ def train_lm(
     of a ranking pair. ``markers=False`` drops sentence start/end
     handling for analytic test cases.
     """
+    vocab = corpus_vocab(corpus, unk_floor)
+    if extra_vocab is not None:
+        vocab.update(extra_vocab)
+    return _train(corpus, order, smoothing, markers, unk_floor, vocab)
+
+
+def _train(
+    corpus: Corpus, order: int, smoothing: str, markers: bool, unk_floor: int, vocab: set[str]
+) -> NgramLanguageModel:
+    """``train_lm`` over a vocabulary the caller has already collected."""
     if order < 1:
         raise ConfigError(f"LM order must be >= 1, got {order}")
     if unk_floor < 1:
@@ -284,11 +278,7 @@ def train_lm(
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
-    vocab = corpus_vocab(corpus, unk_floor)
-    if extra_vocab is not None:
-        vocab.update(extra_vocab)
-    vocab -= {BOS, EOS, UNK}
-
+    vocab = vocab - {BOS, EOS, UNK}
     flat, _, depth, first = _padded(corpus, vocab, order, markers)
     counts: dict[int, dict[tuple[str, ...], int]] = {}
     for k in range(1, order + 1):
@@ -341,7 +331,7 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
             parent = np.full(len(tok), -1, dtype=np.int64)
             parent[1:] = hist[:-1]
             parent[depth < k - 1] = -1
-            hist = _rank(table.hist_keys, parent, prev_tok, base)
+            hist = rank(table.hist_keys, parent, prev_tok, base)
         h = hist[events]
         c_hist = _at(table.hist_total, h)
         if lm.smoothing == "interpolated-wb":
@@ -350,7 +340,7 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
         else:
             sel = np.flatnonzero(top == k - 1)
         h, c_hist = h[sel], c_hist[sel]
-        c = _at(table.counts, _rank(table.keys, h, word[sel], base))
+        c = _at(table.counts, rank(table.keys, h, word[sel], base))
         if lm.smoothing == "interpolated-wb":
             n = _at(table.hist_types, h)
             p[sel] = (c + n * p[sel]) / (c_hist + n)

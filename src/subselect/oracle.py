@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Corpus
 from .errors import SizeCapError, StateError
-from .features import FeatureSet, FeatureVector, featurize, iter_ngrams
+from .features import FeatureSet, FeatureVector, count_ngrams, featurize
 from .submodular import ConcaveSpec, DEFAULT_CONCAVE, SelectionState
 
 ORACLE_MAX_SENTENCES = 20
@@ -150,22 +152,20 @@ def coverage_report(ground: Corpus, selected_ids: Sequence[int], features: Featu
     pile of K identical sentences has type/token ratio 1/K, hence
     redundancy 1 - 1/K.
     """
-    table = features.features
-    coverable = sum(1 for info in table.values() if info.doc_freq > 0)
-    covered: set = set()
-    types: set = set()
-    tokens = 0
-    for sid in selected_ids:
-        toks = ground[sid].source_tokens
-        for ngram in iter_ngrams(toks, features.max_order):
-            tokens += 1
-            types.add(ngram)
-            if ngram in table:
-                covered.add(ngram)
-    coverage = (len(covered) / coverable) if coverable else 0.0
-    ttr = (len(types) / tokens) if tokens else 0.0
+    sentences = [ground[sid] for sid in selected_ids]
+    _, position, _ = features._index.pairs(sentences)
+    return _coverage(features, sentences, position)
+
+
+def _coverage(features: FeatureSet, sentences, position: np.ndarray) -> CoverageStats:
+    """coverage_report from the selection's (row, position) pairs."""
+    coverable = sum(1 for info in features.features.values() if info.doc_freq > 0)
+    covered = int(np.count_nonzero(np.bincount(position, minlength=1)))
+    types, tokens = count_ngrams(sentences, features.max_order)
+    coverage = (covered / coverable) if coverable else 0.0
+    ttr = (types / tokens) if tokens else 0.0
     redundancy = 1.0 - ttr if tokens else 0.0
-    return CoverageStats(coverage, redundancy, ttr, len(types), tokens)
+    return CoverageStats(coverage, redundancy, ttr, types, tokens)
 
 
 @dataclass(frozen=True)
@@ -251,13 +251,26 @@ def method_metrics(
     selected_ids: Sequence[int],
     cost_mode: str,
 ) -> MethodMetrics:
-    """Objective, spent cost, and coverage stats for one finished selection."""
-    from .submodular import evaluate
+    """Objective, spent cost, and coverage stats for one finished selection.
 
-    vectors = [featurize(ground[sid], features) for sid in selected_ids]
-    objective = evaluate(vectors, features, concave)
-    spent = sum(ground[sid].cost if cost_mode == "words" else 1 for sid in selected_ids)
-    stats = coverage_report(ground, selected_ids, features)
+    The objective equals ``evaluate`` over the selection's feature
+    vectors, summed in the same order: features in order of first
+    occurrence, each one's mass added up in selection order.
+    """
+    sentences = [ground[sid] for sid in selected_ids]
+    _, position, count = features._index.pairs(sentences)
+    weight, idf = features._weight_idf()
+    active = np.flatnonzero(idf[position] > 0.0)
+    mass = np.zeros(len(features), dtype=np.float64)
+    # pairs run row by row and np.add.at adds in index order, as evaluate does
+    np.add.at(mass, position[active], count[active] * idf[position[active]])
+    seen, first = np.unique(position[active], return_index=True)
+    order = seen[np.argsort(first)]
+    objective = 0.0
+    for w, phi in zip(weight[order].tolist(), concave.apply(mass[order]).tolist()):
+        objective += w * phi
+    spent = sum(sent.cost if cost_mode == "words" else 1 for sent in sentences)
+    stats = _coverage(features, sentences, position)
     return MethodMetrics(
         method=method,
         objective=objective,

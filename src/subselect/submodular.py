@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence
 from .errors import ConfigError, StateError
-from .features import FeatureSet, FeatureVector, featurize
+from .features import FeatureSet, FeatureVector, RelevanceRows, featurize, relevance_rows
 
 logger = logging.getLogger(__name__)
 
@@ -120,71 +119,44 @@ class SelectionState:
 class _Problem:
     """Ground set flattened to integer feature columns for fast gain math."""
 
-    def __init__(self, rows, costs, col_names, col_weights):
-        self.rows = rows  # per sentence: (cols int64[], vals float64[], wvals float64[])
+    def __init__(self, rows: RelevanceRows, costs: list[int]):
+        self.bounds = rows.indptr.tolist()
+        self.cols = rows.cols
+        self.vals = rows.vals
+        self.wvals = rows.weights[rows.cols]
         self.costs = costs  # int per sentence
-        self.col_names = col_names
-        self.col_weights = col_weights
-        self.n_features = len(col_names)
+        self.col_names = rows.names
+        self.n_rows = len(costs)
+        self.n_features = len(rows.names)
 
     def gain(self, idx: int, mass: np.ndarray, concave: ConcaveSpec) -> float:
-        cols, vals, wvals = self.rows[idx]
-        if cols.size == 0:
+        lo, hi = self.bounds[idx], self.bounds[idx + 1]
+        if lo == hi:
             return 0.0
+        vals, wvals = self.vals[lo:hi], self.wvals[lo:hi]
         if concave.is_identity:
             # linear curve: the gain is mass-independent, so compute it without
             # the phi difference whose cancellation noise varies with mass
             return float(np.sum(wvals * vals))
-        current = mass[cols]
+        current = mass[self.cols[lo:hi]]
         return float(np.sum(wvals * (concave.apply(current + vals) - concave.apply(current))))
 
     def add_to_mass(self, idx: int, mass: np.ndarray) -> None:
-        cols, vals, _ = self.rows[idx]
-        if cols.size:
-            mass[cols] += vals
+        lo, hi = self.bounds[idx], self.bounds[idx + 1]
+        mass[self.cols[lo:hi]] += self.vals[lo:hi]
 
 
 def _index_corpus(ground: Corpus, features: FeatureSet, cost_mode: str) -> _Problem:
-    active = sorted(
-        ngram
-        for ngram, info in features.features.items()
-        if info.idf is not None and info.idf > 0.0
-    )
-    col_of = {ngram: i for i, ngram in enumerate(active)}
-    weights = np.array([features.features[u].weight for u in active], dtype=np.float64)
-    idf = {u: features.features[u].idf for u in active}
-    max_order = features.max_order
-
-    rows = []
-    costs = []
-    for sent in ground:
-        counts: dict = {}
-        toks = sent.source_tokens
-        n = len(toks)
-        for order in range(1, max_order + 1):
-            for i in range(n - order + 1):
-                ngram = tuple(toks[i : i + order])
-                if ngram in col_of:
-                    counts[ngram] = counts.get(ngram, 0) + 1
-        if counts:
-            pairs = sorted((col_of[u], c * idf[u]) for u, c in counts.items())
-            cols = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-            vals = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
-            wvals = weights[cols]
-        else:
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
-            wvals = np.empty(0, dtype=np.float64)
-        rows.append((cols, vals, wvals))
-        costs.append(sent.cost if cost_mode == "words" else 1)
-    return _Problem(rows, costs, active, weights)
+    costs = [sent.cost if cost_mode == "words" else 1 for sent in ground]
+    return _Problem(relevance_rows(ground.sentences, features), costs)
 
 
 def _index_vectors(vectors, costs, weights) -> _Problem:
+    """Explicit relevance vectors as a CSR matrix, columns in first-seen order."""
+    plain = [vec.entries if isinstance(vec, FeatureVector) else vec for vec in vectors]
     names: list = []
     col_of: dict = {}
-    for vec in vectors:
-        entries = vec.entries if isinstance(vec, FeatureVector) else vec
+    for entries in plain:
         for key in entries:
             if key not in col_of:
                 col_of[key] = len(names)
@@ -194,14 +166,13 @@ def _index_vectors(vectors, costs, weights) -> _Problem:
         for key, w in weights.items():
             if key in col_of:
                 warr[col_of[key]] = float(w)
-    rows = []
-    for vec in vectors:
-        entries = vec.entries if isinstance(vec, FeatureVector) else vec
-        pairs = sorted((col_of[k], float(v)) for k, v in entries.items())
-        cols = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        vals = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
-        rows.append((cols, vals, warr[cols] if cols.size else np.empty(0, dtype=np.float64)))
-    return _Problem(rows, [int(c) for c in costs], names, warr)
+    pairs = [sorted((col_of[k], float(v)) for k, v in entries.items()) for entries in plain]
+    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pairs], out=indptr[1:])
+    flat = [pair for row in pairs for pair in row]
+    cols = np.array([c for c, _ in flat], dtype=np.int32)
+    vals = np.array([v for _, v in flat], dtype=np.float64)
+    return _Problem(RelevanceRows(indptr, cols, vals, names, warr), [int(c) for c in costs])
 
 
 # ---------------------------------------------------------------------------
@@ -267,72 +238,41 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
     return state
 
 
-def _scan(problem, ids, mass, concave, spent, budget):
-    """One full naive pass: returns (feasible ids, best candidate, evals)."""
-    feasible = []
-    best_id = -1
-    best_gain = 0.0
-    best_ratio = 0.0
-    for vid in ids:
-        cost = problem.costs[vid]
-        if spent + cost > budget:
-            continue
-        feasible.append(vid)
-        gain = problem.gain(vid, mass, concave)
-        ratio = gain / cost
-        if best_id < 0 or ratio > best_ratio:
-            best_id, best_gain, best_ratio = vid, gain, ratio
-    return feasible, (best_id, best_gain, best_ratio), len(feasible)
-
-
-def _greedy_naive(problem: _Problem, concave, budget, threads, state: SelectionState) -> SelectionState:
+def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
     mass = np.zeros(problem.n_features, dtype=np.float64)
-    remaining = list(range(len(problem.rows)))
+    remaining = list(range(problem.n_rows))
     any_feasible = False
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while remaining:
-            if pool is not None and len(remaining) > 64:
-                chunk_size = (len(remaining) + threads - 1) // threads
-                chunks = [remaining[i : i + chunk_size] for i in range(0, len(remaining), chunk_size)]
-                results = list(
-                    pool.map(lambda ids: _scan(problem, ids, mass, concave, state.spent, budget), chunks)
-                )
-                remaining = [vid for feasible, _, _ in results for vid in feasible]
-                evals = sum(r[2] for r in results)
-                best_id, best_gain, best_ratio = -1, 0.0, 0.0
-                for _, (cid, cgain, cratio), _ in results:
-                    if cid >= 0 and (best_id < 0 or cratio > best_ratio):
-                        best_id, best_gain, best_ratio = cid, cgain, cratio
-            else:
-                remaining, (best_id, best_gain, best_ratio), evals = _scan(
-                    problem, remaining, mass, concave, state.spent, budget
-                )
-            state.gain_evaluations += evals
-            any_feasible = any_feasible or bool(remaining)
-            if best_id < 0 or best_gain <= 0.0:
-                state.evaluations_per_step.append(evals)
-                break
-            remaining.remove(best_id)
-            problem.add_to_mass(best_id, mass)
-            state.spent += problem.costs[best_id]
-            state.objective += best_gain
-            state.selected.append(best_id)
-            state.trajectory.append(SelectionStep(best_id, best_gain, best_ratio, state.spent))
-            state.evaluations_per_step.append(evals)
-        else:
-            state.evaluations_per_step.append(0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if not state.selected and not any_feasible and problem.rows:
+    while remaining:
+        # one full pass over the candidates that still fit
+        remaining = [vid for vid in remaining if state.spent + problem.costs[vid] <= budget]
+        best_id, best_gain, best_ratio = -1, 0.0, 0.0
+        for vid in remaining:
+            gain = problem.gain(vid, mass, concave)
+            ratio = gain / problem.costs[vid]
+            if best_id < 0 or ratio > best_ratio:
+                best_id, best_gain, best_ratio = vid, gain, ratio
+        evals = len(remaining)
+        state.gain_evaluations += evals
+        state.evaluations_per_step.append(evals)
+        any_feasible = any_feasible or bool(remaining)
+        if best_id < 0 or best_gain <= 0.0:
+            break
+        remaining.remove(best_id)
+        problem.add_to_mass(best_id, mass)
+        state.spent += problem.costs[best_id]
+        state.objective += best_gain
+        state.selected.append(best_id)
+        state.trajectory.append(SelectionStep(best_id, best_gain, best_ratio, state.spent))
+    else:
+        state.evaluations_per_step.append(0)
+    if not state.selected and not any_feasible and problem.n_rows:
         logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     return _finish_state(state, problem, mass)
 
 
 def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
     mass = np.zeros(problem.n_features, dtype=np.float64)
-    n = len(problem.rows)
+    n = problem.n_rows
     heap: list[tuple[float, int]] = []
     cached_gain = [0.0] * n
     stamp = [-1] * n
@@ -375,7 +315,7 @@ def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> S
             heapq.heappush(heap, (-gain / cost, vid))
     state.evaluations_per_step.append(evals_this_step)
 
-    if not state.selected and not any_feasible and problem.rows:
+    if not state.selected and not any_feasible and problem.n_rows:
         logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     return _finish_state(state, problem, mass)
 
@@ -391,7 +331,7 @@ def _run_greedy(problem, concave, budget, cost_mode, variant, threads) -> Select
         raise ConfigError(f"threads must be >= 1, got {threads}")
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
     if variant == "naive":
-        return _greedy_naive(problem, concave, budget, threads, state)
+        return _greedy_naive(problem, concave, budget, state)
     return _greedy_lazy(problem, concave, budget, state)
 
 
@@ -410,8 +350,8 @@ def greedy_select(
     still fit the budget; selection stops when nothing feasible has
     positive gain. Ties go to the higher ratio and then the lower id. A
     budget below every sentence cost yields an empty selection with a
-    logged warning, not an error. ``threads`` bounds parallelism in
-    naive candidate scoring and never changes the result.
+    logged warning, not an error. ``threads`` is validated (it must be at
+    least 1) but runs nothing in parallel: every variant is single-threaded.
     """
     if not features.fitted:
         raise StateError("feature set is unfitted; call fit_idf before selecting")

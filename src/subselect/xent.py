@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import ConfigError
-from .lm import NgramLanguageModel, corpus_vocab, log_probs, train_lm
+from .lm import NgramLanguageModel, _train, corpus_vocab, log_probs
 from .submodular import SelectionState, SelectionStep
 
 
@@ -80,12 +80,9 @@ def train_domain_pair(
     Sharing the vocabulary union keeps the score well-defined for tokens
     known to only one side.
     """
-    vocab_in = corpus_vocab(in_domain, unk_floor)
-    vocab_out = corpus_vocab(out_domain, unk_floor)
-    lm_in = train_lm(in_domain, order, smoothing, markers=markers, unk_floor=unk_floor,
-                     extra_vocab=vocab_out)
-    lm_out = train_lm(out_domain, order, smoothing, markers=markers, unk_floor=unk_floor,
-                      extra_vocab=vocab_in)
+    vocab = corpus_vocab(in_domain, unk_floor) | corpus_vocab(out_domain, unk_floor)
+    lm_in = _train(in_domain, order, smoothing, markers, unk_floor, vocab)
+    lm_out = _train(out_domain, order, smoothing, markers, unk_floor, vocab)
     return lm_in, lm_out
 
 

@@ -316,6 +316,11 @@ class TestReportCommand:
         assert rc == 0
         csv = (rep_dir / "report.csv").read_text().splitlines()
         assert any(row.startswith("submod,") for row in csv)
+        # a 5-sentence pool is small enough to enumerate, but report knows no
+        # budget, so an oracle optimum would be meaningless
+        txt = (rep_dir / "report.txt").read_text().splitlines()
+        assert "budget=0.0" in txt
+        assert not any(line.startswith("oracle.") for line in txt)
 
     def test_ground_size_mismatch_exits_2(self, corpora, tmp_path):
         tmp, ground, in_domain = corpora

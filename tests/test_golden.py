@@ -1,0 +1,80 @@
+"""Pinned output bytes of `select --method both` at the default order 7.
+
+Criterion 9 compares a rerun against a rerun, so a change that alters
+the bytes of every run the same way passes it. These digests were
+recorded from an earlier implementation; any byte change in any of the
+nine output files fails here.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from subselect.cli import main
+
+FILES = (
+    "submod.selection.tsv", "submod.selected.src", "submod.summary.txt",
+    "xent.scores.tsv", "xent.selection.tsv", "xent.selected.src", "xent.summary.txt",
+    "report.txt", "report.csv",
+)
+
+# per pool size: file -> SHA-256
+GOLDEN = {
+    150: {
+        "submod.selection.tsv": "09ff05e9a0c11374882059b833af1bd0fde5cc62ac0df0fbce2269bfa38ce28c",
+        "submod.selected.src": "5bcdb823426a35bdc1d75f97b486a220bbb890e13c40f6ec5abfc632a609f817",
+        "submod.summary.txt": "86f654cce688c0143cc3f59a309e8ff17c8c4dfb87e5e64baa5719fe62c3b4d7",
+        "xent.scores.tsv": "00eeb756f32d83eb458ffe79fdfb3f235baf6885ec0ac2dd0a62acf987311163",
+        "xent.selection.tsv": "a9642bb06551158c538c4ccccf67595a95573366fba9aa75c5446b5c4abd00af",
+        "xent.selected.src": "3df64fae550210a4c3fe68868359831808306c2fa971c145384cbd0045f2df10",
+        "xent.summary.txt": "e46a5befe3bef92b4ba85c99edc4a6ff5f95f3b88b1570462776395b283f8c5f",
+        "report.txt": "efcb9ca0bb3ee2f16d57cab87e78ddf3d06afd07bb4ce54492912d78ef8f1574",
+        "report.csv": "9c8fed187febc54de62e7d6114b80ef188ed045d828b946d5ed548a265d1ce99",
+    },
+    14: {
+        "submod.selection.tsv": "5f8780abc05f1ccb076a9b0ed2729272dfb775e2fa71c00636f836c93365b7af",
+        "submod.selected.src": "6dbda92eec302d599bbfa95a40e0c42726dabd2d55d9b693070cda89d72f1a35",
+        "submod.summary.txt": "da49ae8ff250b414e4ec52c98a6c521d3ba1e3dad4c154f0f9056bc647fd970a",
+        "xent.scores.tsv": "aa4cc59aa70dce2d581b5e521b815f24c7ff3926b1003af1e2dae53a6be7a173",
+        "xent.selection.tsv": "9350d0b99ba2d6e05ba81919c5028f25e966e3e71d15d64693c3b4d5d86f0722",
+        "xent.selected.src": "482eb81e3f0918cc039cdc83fe5c7d28af445a500e737e51769688775e8c7b8f",
+        "xent.summary.txt": "2ff8afaa06cf202ba3253964462329db45de2004d66146ae8c4a029702933f3c",
+        "report.txt": "12025075b90d238a7da792b91273345d385480b5f90615dfef4be6d171986ceb",
+        "report.csv": "1070efa8e5edc6d574f702493b20856d4df138b15d6ded3729a8531e3f2ee15f",
+    },
+}
+
+
+def write_inputs(tmp_path, n_ground):
+    """A seeded pool where "the" is in every line (idf 0) and the in-domain
+    sample holds lines outside the pool (idf None)."""
+    rng = random.Random(20150 + n_ground)
+    vocab = [f"w{i}" for i in range(40)]
+    lines = []
+    for _ in range(n_ground):
+        if lines and rng.random() < 0.15:
+            lines.append(rng.choice(lines))  # exact duplicate
+            continue
+        toks = rng.choices(vocab[: rng.choice((12, 40))], k=rng.randint(2, 12))
+        toks.insert(rng.randint(0, len(toks)), "the")
+        lines.append(" ".join(toks))
+    in_domain = lines[::5] + ["zz w1 yy", "w2 w3 xx w4"]
+    ground = tmp_path / "ground.src"
+    ground.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    ind = tmp_path / "indomain.src"
+    ind.write_text("".join(line + "\n" for line in in_domain), encoding="utf-8")
+    return ground, ind
+
+
+@pytest.mark.parametrize("n_ground", sorted(GOLDEN))
+def test_select_both_outputs_match_pinned_digests(tmp_path, n_ground):
+    ground, ind = write_inputs(tmp_path, n_ground)
+    out_dir = tmp_path / "out"
+    budget = "60" if n_ground < 20 else "300"
+    assert main([
+        "select", "--method", "both", "--in-domain-src", str(ind),
+        "--ground-src", str(ground), "--budget-words", budget, "--out-dir", str(out_dir),
+    ]) == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES}
+    assert digests == GOLDEN[n_ground]
