@@ -385,10 +385,8 @@ def cmd_oracle(args) -> int:
         )
         optimal_ids, optimal_f = brute_force_optimal(ground, features, concave, budget, cost_mode)
         greedy = greedy_select(ground, features, concave, budget, cost_mode=cost_mode)
-    if optimal_f > 0:
-        ratio = greedy.objective / optimal_f
-    else:
-        ratio = 1.0  # nothing to cover; the greedy trivially matches
+    # with nothing to cover, the greedy trivially matches
+    ratio = greedy.objective / optimal_f if optimal_f > 0 else 1.0
     print(f"optimal_objective={optimal_f!r}")
     print(f"optimal_ids={' '.join(str(i) for i in optimal_ids)}")
     print(f"greedy_objective={greedy.objective!r}")
@@ -412,9 +410,13 @@ def cmd_report(args) -> int:
     concave = ConcaveSpec.parse(args.concave)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    selections = [
-        (Path(path).stem.split(".")[0], read_selection_ids(path)) for path in args.selection
-    ]
+    selections = []
+    for path in args.selection:
+        ids = read_selection_ids(path)
+        for sid, lineno in ids.items():
+            if sid >= len(ground):
+                raise ConfigError(f"{path} line {lineno}: sentence {sid} is not in the {len(ground)}-sentence pool")
+        selections.append((Path(path).stem.split(".")[0], list(ids)))
     # no budget is known here, so there is no optimum to compare against
     report = build_report(
         ground, features, concave, selections,

@@ -2,21 +2,26 @@
 
 brute_force_optimal enumerates every budget-feasible subset, so it is
 capped at 20 sentences and exists to verify the greedy's approximation
-quality on desk-scale instances, not to select corpora.
+quality on desk-scale instances, not to select corpora. It prunes with
+``reference_gain`` and settles each candidate with ``objective``, the
+reference definitions in ``submodular``, never with the greedy's array
+kernel, so it checks that kernel independently. The report scores every
+method with the same ``objective``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import SizeCapError, StateError
-from .features import FeatureSet, FeatureVector, count_ngrams, featurize
-from .submodular import ConcaveSpec, DEFAULT_CONCAVE, SelectionState
+from .errors import SizeCapError
+from .features import FeatureSet, FeatureVector, count_ngrams
+from .submodular import DEFAULT_CONCAVE, ConcaveSpec, objective, reference_gain
+from .submodular import _corpus_costs, _vector_instance
 
 ORACLE_MAX_SENTENCES = 20
 GUARANTEE_FLOOR = 0.63  # contractual pass line for the greedy/optimal ratio
@@ -26,15 +31,9 @@ GUARANTEE_FLOOR = 0.63  # contractual pass line for the greedy/optimal ratio
 # brute force
 
 
-def _scratch_objective(ids, vectors, weight_of, concave) -> float:
-    mass: dict = {}
-    for idx in ids:
-        for key, val in vectors[idx].items():
-            mass[key] = mass.get(key, 0.0) + val
-    total = 0.0
-    for key, m in mass.items():
-        total += weight_of(key) * float(concave.apply(m))
-    return total
+def _check_size(n: int) -> None:
+    if n > ORACLE_MAX_SENTENCES:
+        raise SizeCapError(f"the exhaustive oracle is a test tool capped at {ORACLE_MAX_SENTENCES} sentences, not {n}")
 
 
 def _brute(vectors, costs, weight_of, concave, budget):
@@ -48,7 +47,7 @@ def _brute(vectors, costs, weight_of, concave, budget):
         if running_f < best_f - 1e-9:
             return
         # near the incumbent: settle it with an exact from-scratch value
-        exact = _scratch_objective(current, vectors, weight_of, concave)
+        exact = objective(chain.from_iterable(vectors[i].items() for i in current), weight_of, concave)
         ids = tuple(current)
         if exact > best_f or (
             exact == best_f and (len(ids), ids) < (len(best_ids), best_ids)
@@ -60,25 +59,27 @@ def _brute(vectors, costs, weight_of, concave, budget):
             cost = costs[idx]
             if spent + cost > budget:
                 continue
-            delta = 0.0
-            touched = []
+            delta = reference_gain(vectors[idx], mass, weight_of, concave)
+            grown = dict(mass)
             for key, val in vectors[idx].items():
-                old = mass.get(key, 0.0)
-                delta += weight_of(key) * float(concave.apply(old + val) - concave.apply(old))
-                touched.append((key, old))
-                mass[key] = old + val
+                grown[key] = grown.get(key, 0.0) + val
             current.append(idx)
             consider(running_f + delta)
-            descend(idx + 1, spent + cost, running_f + delta, mass)
+            descend(idx + 1, spent + cost, running_f + delta, grown)
             current.pop()
-            for key, old in touched:
-                if old == 0.0:
-                    del mass[key]
-                else:
-                    mass[key] = old
 
     descend(0, 0, 0.0, {})
     return list(best_ids), best_f
+
+
+def _relevance_pairs(features: FeatureSet, sentences) -> tuple[np.ndarray, ...]:
+    """``_index.pairs`` cut to the features with idf > 0, as (row, feature,
+    relevance), plus the uncut positions and every feature's weight."""
+    row, position, count = features._index.pairs(sentences)
+    weight, idf = features._weight_idf()
+    active = np.flatnonzero(idf[position] > 0.0)
+    feature = position[active]
+    return row[active], feature, count[active] * idf[feature], position, weight
 
 
 def brute_force_optimal(
@@ -91,22 +92,13 @@ def brute_force_optimal(
     """Exact optimum by subset enumeration; ties prefer the smallest selection,
     then the lexicographically smallest id set. Refuses ground sets above 20
     sentences."""
-    if len(ground) > ORACLE_MAX_SENTENCES:
-        raise SizeCapError(
-            f"ground set has {len(ground)} sentences; the exhaustive oracle is a "
-            f"test tool capped at {ORACLE_MAX_SENTENCES}"
-        )
-    if not features.fitted:
-        raise StateError("feature set is unfitted; call fit_idf first")
-    if features.ground_size != len(ground):
-        raise StateError(
-            f"feature set was fitted against {features.ground_size} sentences, "
-            f"but this ground set has {len(ground)}"
-        )
-    vectors = [featurize(sent, features).entries for sent in ground]
-    costs = [sent.cost if cost_mode == "words" else 1 for sent in ground]
-    table = features.features
-    return _brute(vectors, costs, lambda u: table[u].weight, concave, budget)
+    _check_size(len(ground))
+    costs = _corpus_costs(ground, features, cost_mode)
+    row, feature, relevance, _, weight = _relevance_pairs(features, ground.sentences)
+    vectors: list[dict] = [{} for _ in ground]
+    for r, u, val in zip(row.tolist(), feature.tolist(), relevance.tolist()):
+        vectors[r][u] = val
+    return _brute(vectors, costs, weight.tolist().__getitem__, concave, budget)
 
 
 def brute_force_vectors(
@@ -116,18 +108,12 @@ def brute_force_vectors(
     budget: float = 1,
     weights: Mapping | None = None,
 ) -> tuple[list[int], float]:
-    """brute_force_optimal over explicit relevance vectors."""
-    if len(vectors) > ORACLE_MAX_SENTENCES:
-        raise SizeCapError(
-            f"instance has {len(vectors)} items; the exhaustive oracle is a "
-            f"test tool capped at {ORACLE_MAX_SENTENCES}"
-        )
-    plain = [v.entries if isinstance(v, FeatureVector) else dict(v) for v in vectors]
-    if weights is None:
-        weight_of = lambda u: 1.0
-    else:
-        weight_of = lambda u: float(weights.get(u, 1.0))
-    return _brute(plain, list(costs), weight_of, concave, budget)
+    """brute_force_optimal over explicit relevance vectors, checked as
+    greedy_select_vectors checks them."""
+    _check_size(len(vectors))
+    plain, costs = _vector_instance(vectors, costs)
+    weights = weights or {}
+    return _brute(plain, costs, lambda u: float(weights.get(u, 1.0)), concave, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +239,16 @@ def method_metrics(
 ) -> MethodMetrics:
     """Objective, spent cost, and coverage stats for one finished selection.
 
-    The objective equals ``evaluate`` over the selection's feature
-    vectors, summed in the same order: features in order of first
-    occurrence, each one's mass added up in selection order.
+    The objective is ``objective`` over the selection's feature vectors
+    in selection order, so it equals ``evaluate`` bit for bit.
     """
     sentences = [ground[sid] for sid in selected_ids]
-    _, position, count = features._index.pairs(sentences)
-    weight, idf = features._weight_idf()
-    active = np.flatnonzero(idf[position] > 0.0)
-    mass = np.zeros(len(features), dtype=np.float64)
-    # pairs run row by row and np.add.at adds in index order, as evaluate does
-    np.add.at(mass, position[active], count[active] * idf[position[active]])
-    seen, first = np.unique(position[active], return_index=True)
-    order = seen[np.argsort(first)]
-    objective = 0.0
-    for w, phi in zip(weight[order].tolist(), concave.apply(mass[order]).tolist()):
-        objective += w * phi
+    _, feature, relevance, position, weight = _relevance_pairs(features, sentences)
+    value = objective(zip(feature.tolist(), relevance.tolist()), weight.tolist().__getitem__, concave)
     spent = sum(sent.cost if cost_mode == "words" else 1 for sent in sentences)
     stats = _coverage(features, sentences, position)
     return MethodMetrics(
-        method=method,
-        objective=objective,
-        spent=spent,
-        size=len(selected_ids),
-        coverage=stats.coverage,
-        redundancy=stats.redundancy,
-        type_token_ratio=stats.type_token_ratio,
+        method, value, spent, len(selected_ids), stats.coverage, stats.redundancy, stats.type_token_ratio
     )
 
 

@@ -17,6 +17,14 @@ overspending. The lazy variant keeps stale gain ratios in a max-heap:
 because gains only shrink as the selection grows, a stale value is an
 upper bound, and an entry that is still on top after recomputation is
 safe to take. Trajectories of the two variants are identical.
+
+``objective`` is the one from-scratch f, over a selection's (feature,
+relevance) pairs; ``evaluate``, the report and the oracle all use it.
+``reference_gain`` is the one scalar gain, used by ``marginal_gain`` and
+the oracle. The greedy's own gains come from the array kernel
+``_Problem.gain`` (``np.sum`` over each row's ascending columns, a float
+order the selection files depend on); it stays separate so that the two
+scalar definitions check it with code it does not share.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,12 +80,10 @@ class ConcaveSpec:
     @classmethod
     def parse(cls, text: str) -> "ConcaveSpec":
         """Parse a CLI-style curve id: ``sqrt``, ``log1p``, ``power:<alpha>``."""
-        if text == "sqrt":
+        if text in ("sqrt", "power"):
             return cls("power", 0.5)
         if text == "log1p":
             return cls("log1p")
-        if text == "power":
-            return cls("power", 0.5)
         if text.startswith("power:"):
             try:
                 alpha = float(text.split(":", 1)[1])
@@ -146,46 +153,87 @@ class _Problem:
         mass[self.cols[lo:hi]] += self.vals[lo:hi]
 
 
-def _index_corpus(ground: Corpus, features: FeatureSet, cost_mode: str) -> _Problem:
-    costs = [sent.cost if cost_mode == "words" else 1 for sent in ground]
-    return _Problem(relevance_rows(ground.sentences, features), costs)
-
-
-def _index_vectors(vectors, costs, weights) -> _Problem:
+def _index_vectors(plain: list[Mapping], costs: list[int], weights: Mapping | None) -> _Problem:
     """Explicit relevance vectors as a CSR matrix, columns in first-seen order."""
-    plain = [vec.entries if isinstance(vec, FeatureVector) else vec for vec in vectors]
-    names: list = []
-    col_of: dict = {}
-    for entries in plain:
-        for key in entries:
-            if key not in col_of:
-                col_of[key] = len(names)
-                names.append(key)
-    warr = np.ones(len(names), dtype=np.float64)
-    if weights is not None:
-        for key, w in weights.items():
-            if key in col_of:
-                warr[col_of[key]] = float(w)
-    pairs = [sorted((col_of[k], float(v)) for k, v in entries.items()) for entries in plain]
-    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in pairs], out=indptr[1:])
-    flat = [pair for row in pairs for pair in row]
-    cols = np.array([c for c, _ in flat], dtype=np.int32)
-    vals = np.array([v for _, v in flat], dtype=np.float64)
-    return _Problem(RelevanceRows(indptr, cols, vals, names, warr), [int(c) for c in costs])
+    names = list(dict.fromkeys(chain.from_iterable(plain)))
+    col_of = {key: col for col, key in enumerate(names)}
+    weights = weights or {}
+    warr = np.array([float(weights.get(key, 1.0)) for key in names], dtype=np.float64)
+    rows = [sorted((col_of[k], float(v)) for k, v in entries.items()) for entries in plain]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    flat = np.array([pair for row in rows for pair in row], dtype=np.float64).reshape(-1, 2)
+    return _Problem(RelevanceRows(indptr, flat[:, 0].astype(np.int32), flat[:, 1], names, warr), costs)
+
+
+def _plain(vectors: Iterable[FeatureVector | Mapping]) -> list[Mapping]:
+    return [vec.entries if isinstance(vec, FeatureVector) else vec for vec in vectors]
+
+
+def _vector_instance(vectors, costs) -> tuple[list[Mapping], list[int]]:
+    """Check an explicit instance; return its plain vectors and integer costs."""
+    if len(vectors) != len(costs):
+        raise ConfigError(f"{len(vectors)} vectors but {len(costs)} costs")
+    if any(c < 1 or c != int(c) for c in costs):
+        raise ConfigError("every cost must be a positive integer")
+    return _plain(vectors), [int(c) for c in costs]
+
+
+def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[int]:
+    """Check a corpus instance; return each sentence's cost under ``cost_mode``."""
+    if not features.fitted:
+        raise StateError("feature set is unfitted; call fit_idf first")
+    if features.ground_size != len(ground):
+        raise StateError(
+            f"feature set was fitted against {features.ground_size} sentences, "
+            f"but this ground set has {len(ground)}"
+        )
+    if cost_mode not in COST_MODES:
+        raise ConfigError(f"unknown cost mode {cost_mode!r}; expected one of: {', '.join(COST_MODES)}")
+    return [sent.cost if cost_mode == "words" else 1 for sent in ground]
 
 
 # ---------------------------------------------------------------------------
-# objective evaluation
+# the objective and its reference gain
 
 
-def _accumulate(vectors: Iterable[FeatureVector | Mapping]) -> dict:
+def objective(pairs: Iterable[tuple], weight_of: Callable, concave: ConcaveSpec) -> float:
+    """f(X) from scratch, over X's (feature, relevance) pairs in selection order.
+
+    Masses add up in pair order; the weighted curve values are then summed
+    left to right, features in the order the pairs first touch them.
+    ``evaluate``, the report and the oracle all score selections here, so
+    their numbers agree bit for bit.
+    """
     mass: dict = {}
-    for vec in vectors:
-        entries = vec.entries if isinstance(vec, FeatureVector) else vec
-        for key, val in entries.items():
-            mass[key] = mass.get(key, 0.0) + val
-    return mass
+    for key, val in pairs:
+        mass[key] = mass.get(key, 0.0) + val
+    phi = concave.apply(np.fromiter(mass.values(), dtype=np.float64, count=len(mass))).tolist()
+    total = 0.0
+    for key, value in zip(mass, phi):
+        total += weight_of(key) * value
+    return total
+
+
+def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave: ConcaveSpec) -> float:
+    """Gain of adding one relevance vector to accumulated ``mass``, feature by feature.
+
+    The scalar definition that ``marginal_gain`` and the oracle use to
+    check ``_Problem.gain``, the greedy's array kernel, with code the
+    kernel does not share.
+    """
+    gain = 0.0
+    for key, val in entries.items():
+        current = mass.get(key, 0.0)
+        # as in the kernel: a linear curve's gain is mass-independent, so skip the phi difference
+        step = val if concave.is_identity else float(concave.apply(current + val) - concave.apply(current))
+        gain += weight_of(key) * step
+    return gain
+
+
+def _weight_of(features: FeatureSet | None) -> Callable:
+    if features is None:
+        return lambda key: 1.0
+    return lambda key: features.features[key].weight
 
 
 def evaluate(selection, features: FeatureSet | None = None, concave: ConcaveSpec = DEFAULT_CONCAVE) -> float:
@@ -196,13 +244,11 @@ def evaluate(selection, features: FeatureSet | None = None, concave: ConcaveSpec
     summed first. Feature weights come from ``features`` when given,
     else 1.0. The empty selection scores 0.
     """
-    mass = selection.mass if isinstance(selection, SelectionState) else _accumulate(selection)
-    total = 0.0
-    table = features.features if features is not None else None
-    for key, m in mass.items():
-        w = table[key].weight if table is not None else 1.0
-        total += w * float(concave.apply(m))
-    return total
+    if isinstance(selection, SelectionState):
+        pairs = selection.mass.items()
+    else:
+        pairs = chain.from_iterable(entries.items() for entries in _plain(selection))
+    return objective(pairs, _weight_of(features), concave)
 
 
 def marginal_gain(
@@ -215,16 +261,7 @@ def marginal_gain(
     if sentence.id in state.selected:
         raise ValueError(f"sentence {sentence.id} is already selected")
     vec = featurize(sentence, features)
-    gain = 0.0
-    table = features.features
-    for key, val in vec.entries.items():
-        weight = table[key].weight
-        if concave.is_identity:
-            gain += weight * val
-            continue
-        current = state.mass.get(key, 0.0)
-        gain += weight * float(concave.apply(current + val) - concave.apply(current))
-    return gain
+    return reference_gain(vec.entries, state.mass, _weight_of(features), concave)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +278,6 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
 def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
     mass = np.zeros(problem.n_features, dtype=np.float64)
     remaining = list(range(problem.n_rows))
-    any_feasible = False
     while remaining:
         # one full pass over the candidates that still fit
         remaining = [vid for vid in remaining if state.spent + problem.costs[vid] <= budget]
@@ -254,7 +290,6 @@ def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> 
         evals = len(remaining)
         state.gain_evaluations += evals
         state.evaluations_per_step.append(evals)
-        any_feasible = any_feasible or bool(remaining)
         if best_id < 0 or best_gain <= 0.0:
             break
         remaining.remove(best_id)
@@ -265,8 +300,6 @@ def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> 
         state.trajectory.append(SelectionStep(best_id, best_gain, best_ratio, state.spent))
     else:
         state.evaluations_per_step.append(0)
-    if not state.selected and not any_feasible and problem.n_rows:
-        logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     return _finish_state(state, problem, mass)
 
 
@@ -277,11 +310,9 @@ def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> S
     cached_gain = [0.0] * n
     stamp = [-1] * n
     evals_this_step = 0
-    any_feasible = False
     for vid in range(n):
         if problem.costs[vid] > budget:
             continue
-        any_feasible = True
         gain = problem.gain(vid, mass, concave)
         cached_gain[vid] = gain
         stamp[vid] = 0
@@ -314,21 +345,18 @@ def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> S
             evals_this_step += 1
             heapq.heappush(heap, (-gain / cost, vid))
     state.evaluations_per_step.append(evals_this_step)
-
-    if not state.selected and not any_feasible and problem.n_rows:
-        logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     return _finish_state(state, problem, mass)
 
 
 def _run_greedy(problem, concave, budget, cost_mode, variant, threads) -> SelectionState:
     if budget <= 0:
         raise ConfigError(f"budget must be positive, got {budget}")
-    if cost_mode not in COST_MODES:
-        raise ConfigError(f"unknown cost mode {cost_mode!r}; expected one of: {', '.join(COST_MODES)}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of: {', '.join(VARIANTS)}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if problem.n_rows and min(problem.costs) > budget:
+        logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
     if variant == "naive":
         return _greedy_naive(problem, concave, budget, state)
@@ -353,14 +381,8 @@ def greedy_select(
     logged warning, not an error. ``threads`` is validated (it must be at
     least 1) but runs nothing in parallel: every variant is single-threaded.
     """
-    if not features.fitted:
-        raise StateError("feature set is unfitted; call fit_idf before selecting")
-    if features.ground_size != len(ground):
-        raise StateError(
-            f"feature set was fitted against {features.ground_size} sentences, "
-            f"but this ground set has {len(ground)}"
-        )
-    problem = _index_corpus(ground, features, cost_mode)
+    costs = _corpus_costs(ground, features, cost_mode)
+    problem = _Problem(relevance_rows(ground.sentences, features), costs)
     return _run_greedy(problem, concave, budget, cost_mode, variant, threads)
 
 
@@ -378,10 +400,7 @@ def greedy_select_vectors(
     Useful for hand-built instances; item i has vector vectors[i] and
     positive integer cost costs[i].
     """
-    if len(vectors) != len(costs):
-        raise ConfigError(f"{len(vectors)} vectors but {len(costs)} costs")
-    if any(c < 1 for c in costs):
-        raise ConfigError("every cost must be a positive integer")
+    plain, costs = _vector_instance(vectors, costs)
     cost_mode = "unit" if all(c == 1 for c in costs) else "words"
-    problem = _index_vectors(vectors, costs, weights)
+    problem = _index_vectors(plain, costs, weights)
     return _run_greedy(problem, concave, budget, cost_mode, variant, threads)

@@ -338,6 +338,30 @@ class TestReportCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("lines, bad_line", [
+        (["1\t0\t1.0\t2", "2\t-1\t1.0\t4"], 2),  # would score the last pool sentence
+        (["1\t0\t1.0\t2", "2\t5\t1.0\t4"], 2),  # the pool has ids 0..4
+        (["1\tthree\t1.0\t2"], 1),
+        (["1\t0\t1.0\t2", "", "3"], 3),  # one column; the blank line still counts
+        (["1\t3\t1.0\t2", "2\t3\t1.0\t4"], 2),  # would count sentence 3 twice
+    ], ids=["negative", "beyond-pool", "not-an-integer", "one-column", "repeated"])
+    def test_bad_selection_file_exits_2(self, corpora, tmp_path, capsys, lines, bad_line):
+        tmp, ground, in_domain = corpora
+        feats = tmp / "features.tsv"
+        assert main([
+            "extract-features", "--in-domain-src", in_domain,
+            "--ground-src", ground, "--out", str(feats),
+        ]) == 0
+        sel = write(tmp_path / "sel.tsv", "".join(line + "\n" for line in lines))
+        rc = main([
+            "report", "--features", str(feats), "--ground-src", ground,
+            "--selection", sel, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert f"{sel} line {bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "report.txt").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpora):
         tmp, ground, in_domain = corpora

@@ -78,3 +78,24 @@ def test_select_both_outputs_match_pinned_digests(tmp_path, n_ground):
     ]) == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES}
     assert digests == GOLDEN[n_ground]
+
+
+# `subselect oracle` stdout: the optimum, the greedy and their ratio, on the
+# 14-sentence pool above (the corpus path) and on the built-in fixture (the
+# vectors path)
+ORACLE_GOLDEN = {
+    "pool14": "a6f3ef63e7d915713e8998bb252d36f4f10e799eb9c83cbddb0a5455c7902898",
+    "fixture": "633624adea3863f549ff5c9920cc64c1d3adc0481d5fcdf5d255b46fa3d04607",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(ORACLE_GOLDEN))
+def test_oracle_stdout_matches_pinned_digest(tmp_path, capsys, instance):
+    if instance == "fixture":
+        argv = ["oracle", "--fixture"]
+    else:
+        ground, ind = write_inputs(tmp_path, 14)
+        argv = ["oracle", "--in-domain-src", str(ind), "--ground-src", str(ground), "--budget-words", "60"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_GOLDEN[instance]

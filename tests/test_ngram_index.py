@@ -59,6 +59,19 @@ def ref_featurize(sentence, features):
     }
 
 
+def ref_objective(vectors, features, curve):
+    """f over plain dicts: masses summed in selection order, then the weighted
+    curve values summed left to right, features in first-touch order."""
+    mass = {}
+    for vec in vectors:
+        for u, v in vec.items():
+            mass[u] = mass.get(u, 0.0) + v
+    total = 0.0
+    for u, m in mass.items():
+        total += features.features[u].weight * float(curve.apply(m))
+    return total
+
+
 def ref_rows(sentences, features):
     table = features.features
     names = sorted(u for u, info in table.items() if info.idf is not None and info.idf > 0.0)
@@ -103,7 +116,10 @@ def check_against_reference(features, ground, ids, curve):
     assert (stats.coverage, stats.redundancy, stats.type_token_ratio,
             stats.distinct_ngrams, stats.total_ngrams) == ref_coverage(ground, ids, features)
     metrics = method_metrics(ground, features, curve, "m", ids, "words")
-    assert metrics.objective == evaluate([ref_featurize(ground[i], features) for i in ids], features, curve)
+    vectors = [ref_featurize(ground[i], features) for i in ids]
+    assert metrics.objective == evaluate(vectors, features, curve)
+    assert metrics.objective == ref_objective(vectors, features, curve)
+    assert evaluate(vectors, features, curve) == ref_objective(vectors, features, curve)
 
 
 sentences = st.lists(st.lists(st.sampled_from(TOKENS), min_size=0, max_size=9), min_size=1, max_size=8)

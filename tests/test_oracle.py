@@ -5,7 +5,7 @@ import random
 import pytest
 
 from subselect.corpus import Corpus, Sentence
-from subselect.errors import SizeCapError, StateError
+from subselect.errors import ConfigError, SizeCapError, StateError
 from subselect.features import extract_feature_set, featurize, fit_idf
 from subselect.oracle import (
     GUARANTEE_FLOOR,
@@ -97,6 +97,29 @@ class TestBruteForce:
         ground = make_corpus(rng, 4)
         with pytest.raises(StateError):
             brute_force_optimal(ground, extract_feature_set(ground, 1), SQRT, budget=3)
+
+    @pytest.mark.parametrize("vectors, costs", [
+        ([{"u": 1.0}], [-3]),  # a negative cost would free budget
+        ([{"u": 1.0}], [0]),
+        ([{"u": 1.0}], [1.5]),
+        ([{"u": 1.0}, {"v": 1.0}], [1]),
+    ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch"])
+    def test_bad_vector_instance_rejected_as_the_greedy_rejects_it(self, vectors, costs):
+        with pytest.raises(ConfigError) as greedy_error:
+            greedy_select_vectors(vectors, costs, SQRT, budget=1)
+        with pytest.raises(ConfigError) as oracle_error:
+            brute_force_vectors(vectors, costs, SQRT, budget=1)
+        assert str(oracle_error.value) == str(greedy_error.value)
+
+    def test_unknown_cost_mode_rejected_as_the_greedy_rejects_it(self):
+        rng = random.Random(1)
+        ground = make_corpus(rng, 4)
+        features = fit_idf(extract_feature_set(ground, 1), ground)
+        with pytest.raises(ConfigError) as greedy_error:
+            greedy_select(ground, features, SQRT, 2, cost_mode="sentences")
+        with pytest.raises(ConfigError) as oracle_error:
+            brute_force_optimal(ground, features, SQRT, 2, cost_mode="sentences")
+        assert str(oracle_error.value) == str(greedy_error.value)
 
     def test_corpus_route_matches_vector_route(self):
         rng = random.Random(8)
