@@ -136,7 +136,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--features", required=True, help="fitted feature-set file")
     sub.add_argument("--ground-src", required=True)
     sub.add_argument("--selection", action="append", required=True,
-                     help="selection TSV (repeatable); named by file stem")
+                     help="selection TSV (repeatable); named by the file name up to its first dot, "
+                          "which must differ between files")
     sub.add_argument("--concave", default="sqrt")
     sub.add_argument("--cost-mode", choices=("words", "unit"), default="words")
     sub.add_argument("--out-dir", required=True)
@@ -367,6 +368,10 @@ def cmd_select(args) -> int:
 def cmd_oracle(args) -> int:
     concave = ConcaveSpec.parse(args.concave)
     if args.fixture:
+        budgets = ("budget_words", "budget_sentences", "budget_percent")
+        given = ["--" + name.replace("_", "-") for name in budgets if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"--fixture has its own budget of {FIXTURE_BUDGET}; drop {', '.join(given)}")
         optimal_ids, optimal_f = brute_force_vectors(
             FIXTURE_VECTORS, FIXTURE_COSTS, concave, FIXTURE_BUDGET
         )
@@ -411,12 +416,17 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     selections = []
+    path_of: dict[str, str] = {}
     for path in args.selection:
+        name = Path(path).stem.split(".")[0]
+        if name in path_of:
+            raise ConfigError(f"{path_of[name]} and {path} would both be reported as {name!r}; rename one")
+        path_of[name] = path
         ids = read_selection_ids(path)
         for sid, lineno in ids.items():
             if sid >= len(ground):
                 raise ConfigError(f"{path} line {lineno}: sentence {sid} is not in the {len(ground)}-sentence pool")
-        selections.append((Path(path).stem.split(".")[0], list(ids)))
+        selections.append((name, list(ids)))
     # no budget is known here, so there is no optimum to compare against
     report = build_report(
         ground, features, concave, selections,

@@ -22,9 +22,15 @@ safe to take. Trajectories of the two variants are identical.
 relevance) pairs; ``evaluate``, the report and the oracle all use it.
 ``reference_gain`` is the one scalar gain, used by ``marginal_gain`` and
 the oracle. The greedy's own gains come from the array kernel
-``_Problem.gain`` (``np.sum`` over each row's ascending columns, a float
-order the selection files depend on); it stays separate so that the two
-scalar definitions check it with code it does not share.
+``_Problem.gains``, which evaluates many rows per numpy call and gives
+each row bit for bit what ``np.sum`` gives over that row's terms alone
+(a float order the selection files depend on); it stays separate so
+that the two scalar definitions check it with code it does not share.
+The naive greedy calls it once per step; the lazy greedy calls it in
+element-bounded chunks for its first pass and then in growing batches of
+stale heap entries, keeping exactly the recomputations that one gain at
+a time would have made, so its picks and its recompute count are those
+of the one-at-a-time heap loop.
 """
 
 from __future__ import annotations
@@ -123,37 +129,98 @@ class SelectionState:
 # internal indexed representation
 
 
+# The greedy's kernel sums each row's terms in np.sum's float order for that
+# row alone. For n <= 128 terms np.sum adds the first n - n % 8 in eight
+# interleaved lanes, combines the lanes, then adds the rest one by one; so
+# appending -0.0s (x + -0.0 == x for every x) without changing n // 8 leaves
+# every bit alone. A row of n <= 128 columns is therefore padded to
+# min(n | 7, 128) slots, and rows of one width are summed as one 2-D block.
+# Above 128 numpy's pairwise split point depends on n, so a longer row keeps
+# exactly n slots.
+_PAIRWISE_BLOCK = 128
+# The kernel gathers at most this many slots at a time (or one longer row),
+# which bounds its temporaries to a few arrays of this length.
+_CHUNK_SLOTS = 1 << 14
+# The lazy greedy's first batch of stale heap entries in a step; each
+# further batch in the same step is twice as large.
+_FIRST_BATCH = 16
+
+
 class _Problem:
-    """Ground set flattened to integer feature columns for fast gain math."""
+    """Ground set as padded rows of integer feature columns, for batched gain math.
+
+    Row r owns ``widths[r]`` slots from ``starts[r]`` in ``cols`` / ``vals``:
+    its ascending columns with their relevances, then padding that points at
+    one extra column of weight -0.0 and mass 0, so every padding term is -0.0.
+    """
 
     def __init__(self, rows: RelevanceRows, costs: list[int]):
-        self.bounds = rows.indptr.tolist()
-        self.cols = rows.cols
-        self.vals = rows.vals
-        self.wvals = rows.weights[rows.cols]
+        self.lengths = lengths = np.diff(rows.indptr)
+        self.widths = np.where(lengths <= _PAIRWISE_BLOCK, np.minimum(lengths | 7, _PAIRWISE_BLOCK), lengths)
+        self.starts = np.cumsum(self.widths) - self.widths
+        self.n_features = len(rows.names)
+        slots = np.repeat(self.starts - rows.indptr[:-1], lengths)
+        slots += np.arange(len(slots))
+        self.cols = np.full(int(self.widths.sum()), self.n_features, dtype=np.int32)
+        self.cols[slots] = rows.cols
+        self.vals = np.zeros(len(self.cols))
+        self.vals[slots] = rows.vals
+        self.weights = np.append(rows.weights, -0.0)
         self.costs = costs  # int per sentence
+        self.cost_arr = np.asarray(costs, dtype=np.int64)
         self.col_names = rows.names
         self.n_rows = len(costs)
-        self.n_features = len(rows.names)
 
-    def gain(self, idx: int, mass: np.ndarray, concave: ConcaveSpec) -> float:
-        lo, hi = self.bounds[idx], self.bounds[idx + 1]
-        if lo == hi:
-            return 0.0
-        vals, wvals = self.vals[lo:hi], self.wvals[lo:hi]
+    def zero_mass(self) -> np.ndarray:
+        return np.zeros(self.n_features + 1, dtype=np.float64)  # the last column is the padding's
+
+    def gains(self, ids, mass: np.ndarray, concave: ConcaveSpec) -> np.ndarray:
+        """Gain of adding each row in ``ids`` to ``mass``: bit for bit np.sum of its terms.
+
+        Row r's terms are ``w * (phi(m + v) - phi(m))`` over its ascending
+        columns, or ``w * v`` for the linear curve, whose gain does not
+        depend on the mass. An empty row gains 0.0.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        order = self.widths[ids].argsort(kind="stable")  # rows of one width side by side
+        ids = ids[order]
+        widths = self.widths[ids]
+        ends = widths.cumsum()
+        out = np.empty(len(ids), dtype=np.float64)
+        lo = 0
+        while lo < len(ids):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(ends.searchsorted(done + _CHUNK_SLOTS, side="right")))
+            out[order[lo:hi]] = self._sorted_gains(ids[lo:hi], widths[lo:hi], ends[lo:hi] - done, mass, concave)
+            lo = hi
+        return out
+
+    def _sorted_gains(self, ids, widths, ends, mass: np.ndarray, concave: ConcaveSpec) -> np.ndarray:
+        """``gains`` of rows sorted by width, ``ends`` their cumulative widths:
+        one flat gather, then one 2-D sum per width."""
+        slots = (self.starts[ids] - (ends - widths)).repeat(widths) + np.arange(ends[-1])
+        cols, vals = self.cols[slots], self.vals[slots]
         if concave.is_identity:
             # linear curve: the gain is mass-independent, so compute it without
             # the phi difference whose cancellation noise varies with mass
-            return float(np.sum(wvals * vals))
-        current = mass[self.cols[lo:hi]]
-        return float(np.sum(wvals * (concave.apply(current + vals) - concave.apply(current))))
+            terms = self.weights[cols] * vals
+        else:
+            current = mass[cols]
+            terms = self.weights[cols] * (concave.apply(current + vals) - concave.apply(current))
+        bounds = [0, *((widths[1:] != widths[:-1]).nonzero()[0] + 1).tolist(), len(ids)]
+        sums = []
+        for first, last in zip(bounds[:-1], bounds[1:]):
+            block = terms[ends[first] - widths[first] : ends[last - 1]]
+            sums.append(block.reshape(last - first, -1).sum(axis=1))
+        return np.concatenate(sums)
 
     def add_to_mass(self, idx: int, mass: np.ndarray) -> None:
-        lo, hi = self.bounds[idx], self.bounds[idx + 1]
+        lo = int(self.starts[idx])
+        hi = lo + int(self.lengths[idx])
         mass[self.cols[lo:hi]] += self.vals[lo:hi]
 
 
-def _index_vectors(plain: list[Mapping], costs: list[int], weights: Mapping | None) -> _Problem:
+def _vector_rows(plain: list[Mapping], weights: Mapping | None) -> RelevanceRows:
     """Explicit relevance vectors as a CSR matrix, columns in first-seen order."""
     names = list(dict.fromkeys(chain.from_iterable(plain)))
     col_of = {key: col for col, key in enumerate(names)}
@@ -162,7 +229,7 @@ def _index_vectors(plain: list[Mapping], costs: list[int], weights: Mapping | No
     rows = [sorted((col_of[k], float(v)) for k, v in entries.items()) for entries in plain]
     indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
     flat = np.array([pair for row in rows for pair in row], dtype=np.float64).reshape(-1, 2)
-    return _Problem(RelevanceRows(indptr, flat[:, 0].astype(np.int32), flat[:, 1], names, warr), costs)
+    return RelevanceRows(indptr, flat[:, 0].astype(np.int32), flat[:, 1], names, warr)
 
 
 def _plain(vectors: Iterable[FeatureVector | Mapping]) -> list[Mapping]:
@@ -218,7 +285,7 @@ def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave
     """Gain of adding one relevance vector to accumulated ``mass``, feature by feature.
 
     The scalar definition that ``marginal_gain`` and the oracle use to
-    check ``_Problem.gain``, the greedy's array kernel, with code the
+    check ``_Problem.gains``, the greedy's array kernel, with code the
     kernel does not share.
     """
     gain = 0.0
@@ -276,57 +343,66 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
 
 
 def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
-    mass = np.zeros(problem.n_features, dtype=np.float64)
-    remaining = list(range(problem.n_rows))
-    while remaining:
+    mass = problem.zero_mass()
+    remaining = np.arange(problem.n_rows)
+    while remaining.size:
         # one full pass over the candidates that still fit
-        remaining = [vid for vid in remaining if state.spent + problem.costs[vid] <= budget]
-        best_id, best_gain, best_ratio = -1, 0.0, 0.0
-        for vid in remaining:
-            gain = problem.gain(vid, mass, concave)
-            ratio = gain / problem.costs[vid]
-            if best_id < 0 or ratio > best_ratio:
-                best_id, best_gain, best_ratio = vid, gain, ratio
-        evals = len(remaining)
+        remaining = remaining[state.spent + problem.cost_arr[remaining] <= budget]
+        evals = remaining.size
         state.gain_evaluations += evals
         state.evaluations_per_step.append(evals)
-        if best_id < 0 or best_gain <= 0.0:
+        if not evals:
             break
-        remaining.remove(best_id)
+        gains = problem.gains(remaining, mass, concave)
+        ratios = gains / problem.cost_arr[remaining]
+        best = int(np.argmax(ratios))  # the first, so the lowest id, of the highest ratios
+        best_id, best_gain = int(remaining[best]), float(gains[best])
+        if best_gain <= 0.0:
+            break
+        remaining = np.delete(remaining, best)
         problem.add_to_mass(best_id, mass)
         state.spent += problem.costs[best_id]
         state.objective += best_gain
         state.selected.append(best_id)
-        state.trajectory.append(SelectionStep(best_id, best_gain, best_ratio, state.spent))
+        state.trajectory.append(SelectionStep(best_id, best_gain, float(ratios[best]), state.spent))
     else:
         state.evaluations_per_step.append(0)
     return _finish_state(state, problem, mass)
 
 
 def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
-    mass = np.zeros(problem.n_features, dtype=np.float64)
-    n = problem.n_rows
-    heap: list[tuple[float, int]] = []
-    cached_gain = [0.0] * n
-    stamp = [-1] * n
-    evals_this_step = 0
-    for vid in range(n):
-        if problem.costs[vid] > budget:
-            continue
-        gain = problem.gain(vid, mass, concave)
+    """Lazy greedy over a heap of stale gain bounds, keyed (-ratio, id).
+
+    An entry is fresh when its gain was computed against the current
+    selection. A fresh entry on top is taken; a stale one on top is
+    recomputed, which ``_refresh`` does for a batch of the stale entries
+    that follow it, committing only those that one-at-a-time recomputation
+    would have reached. Picks, gains and evaluation counts are those of the
+    one-at-a-time heap loop.
+    """
+    mass = problem.zero_mass()
+    costs = problem.costs
+    feasible = [vid for vid in range(problem.n_rows) if costs[vid] <= budget]
+    gains = problem.gains(feasible, mass, concave)
+    cached_gain = [0.0] * problem.n_rows
+    stamp = [-1] * problem.n_rows
+    for vid, gain in zip(feasible, gains.tolist()):
         cached_gain[vid] = gain
         stamp[vid] = 0
-        heap.append((-gain / problem.costs[vid], vid))
-        state.gain_evaluations += 1
-        evals_this_step += 1
+    heap = list(zip((-gains / problem.cost_arr[feasible]).tolist(), feasible))
     heapq.heapify(heap)
+    evals_this_step = len(feasible)
+    state.gain_evaluations += evals_this_step
+    batch = _FIRST_BATCH
 
     while heap:
-        neg_ratio, vid = heapq.heappop(heap)
-        cost = problem.costs[vid]
+        neg_ratio, vid = heap[0]
+        cost = costs[vid]
         if state.spent + cost > budget:
+            heapq.heappop(heap)
             continue  # can never fit again: spent only grows
         if stamp[vid] == len(state.selected):
+            heapq.heappop(heap)
             gain = cached_gain[vid]
             if gain <= 0.0:
                 break
@@ -337,15 +413,52 @@ def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> S
             state.trajectory.append(SelectionStep(vid, gain, -neg_ratio, state.spent))
             state.evaluations_per_step.append(evals_this_step)
             evals_this_step = 0
+            batch = _FIRST_BATCH
         else:
-            gain = problem.gain(vid, mass, concave)
-            cached_gain[vid] = gain
-            stamp[vid] = len(state.selected)
-            state.gain_evaluations += 1
-            evals_this_step += 1
-            heapq.heappush(heap, (-gain / cost, vid))
+            evals = _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, stamp)
+            state.gain_evaluations += evals
+            evals_this_step += evals
+            batch *= 2
     state.evaluations_per_step.append(evals_this_step)
     return _finish_state(state, problem, mass)
+
+
+def _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, stamp) -> int:
+    """Recompute the stale entries on top of ``heap``; return how many count.
+
+    Pops up to ``batch`` stale entries that still fit, in heap order, and
+    evaluates them in one ``gains`` call. Recomputing one at a time, the
+    heap loop would stop after entry i once the best recomputed (key, id)
+    so far precedes entry i + 1; those first i + 1 go back with their new
+    keys and the current stamp, the others with their old keys untouched.
+    """
+    step = len(state.selected)
+    popped: list[tuple[float, int]] = []
+    while heap and len(popped) < batch:
+        vid = heap[0][1]
+        if state.spent + problem.costs[vid] > budget:
+            heapq.heappop(heap)  # can never fit again, as in the heap loop
+        elif stamp[vid] == step:
+            break  # fresh: the heap loop would take it before anything below
+        else:
+            popped.append(heapq.heappop(heap))
+    ids = [vid for _, vid in popped]
+    gains = problem.gains(ids, mass, concave)
+    keys = (-gains / problem.cost_arr[ids]).tolist()
+    commit, best = len(popped), None
+    for i, (key, vid) in enumerate(zip(keys, ids)):
+        if best is None or (key, vid) < best:
+            best = (key, vid)
+        if i + 1 < len(popped) and best < popped[i + 1]:
+            commit = i + 1
+            break
+    for key, vid, gain in zip(keys[:commit], ids[:commit], gains[:commit].tolist()):
+        cached_gain[vid] = gain
+        stamp[vid] = step
+        heapq.heappush(heap, (key, vid))
+    for entry in popped[commit:]:
+        heapq.heappush(heap, entry)
+    return commit
 
 
 def _run_greedy(problem, concave, budget, cost_mode, variant, threads) -> SelectionState:
@@ -402,5 +515,5 @@ def greedy_select_vectors(
     """
     plain, costs = _vector_instance(vectors, costs)
     cost_mode = "unit" if all(c == 1 for c in costs) else "words"
-    problem = _index_vectors(plain, costs, weights)
+    problem = _Problem(_vector_rows(plain, weights), costs)
     return _run_greedy(problem, concave, budget, cost_mode, variant, threads)

@@ -293,6 +293,16 @@ class TestOracleCommand:
     def test_needs_fixture_or_corpora(self):
         assert main(["oracle"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-words", "10"), ("--budget-sentences", "3"), ("--budget-percent", "50"),
+    ])
+    def test_fixture_rejects_a_budget(self, capsys, flag, value):
+        # the fixture's optimum is only known at its own budget
+        assert main(["oracle", "--fixture", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
 
 class TestReportCommand:
     def test_report_from_saved_artifacts(self, corpora):
@@ -359,6 +369,27 @@ class TestReportCommand:
         ])
         assert rc == 2
         assert f"{sel} line {bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "report.txt").exists()
+
+
+    def test_selections_with_one_name_exit_2(self, corpora, tmp_path, capsys):
+        tmp, ground, in_domain = corpora
+        feats = tmp / "features.tsv"
+        assert main([
+            "extract-features", "--in-domain-src", in_domain,
+            "--ground-src", ground, "--out", str(feats),
+        ]) == 0
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write(tmp_path / "a" / "submod.selection.tsv", "1\t0\t1.0\t2\n")
+        second = write(tmp_path / "b" / "submod.selection.tsv", "1\t2\t1.0\t2\n")
+        rc = main([
+            "report", "--features", str(feats), "--ground-src", ground,
+            "--selection", first, "--selection", second, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert first in err and second in err
         assert not (tmp_path / "rep" / "report.txt").exists()
 
 

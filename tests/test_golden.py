@@ -99,3 +99,54 @@ def test_oracle_stdout_matches_pinned_digest(tmp_path, capsys, instance):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_GOLDEN[instance]
+
+
+# `select --method submod --max-order 1` on a pool where 30 % of the lines
+# repeat an earlier one: the traffic where the lazy greedy recomputes many
+# stale gains a step. `recomputes=` in the summary pins the evaluation count
+# (1,927 lazy, 39,226 naive). Recorded from an earlier implementation.
+SUBMOD_FILES = ("submod.selection.tsv", "submod.selected.src", "submod.summary.txt")
+
+SUBMOD_GOLDEN = {
+    "lazy": {
+        "submod.selection.tsv": "2776e130dfac64c784ae3ffcd667c82ec79c9eae13fc809c95b40c64854c23eb",
+        "submod.selected.src": "c50ae99c3dac5eb84e81dba24494542b3a9b8a7de7271063dc5707205b9b72b3",
+        "submod.summary.txt": "d5ce44972060b8a8b46ef5856c30311db0a9e7292243e9ecaf776a5db228a2a9",
+    },
+    "naive": {
+        "submod.selection.tsv": "2776e130dfac64c784ae3ffcd667c82ec79c9eae13fc809c95b40c64854c23eb",
+        "submod.selected.src": "c50ae99c3dac5eb84e81dba24494542b3a9b8a7de7271063dc5707205b9b72b3",
+        "submod.summary.txt": "575517708d6501745eb4a6899845112daacb9374af4116767dadf1986d73e5c0",
+    },
+}
+
+
+def write_duplicate_pool(tmp_path, n_ground=600):
+    rng = random.Random(20151)
+    vocab = [f"t{i}" for i in range(500)]
+    zipf = [1.0 / (r + 1) for r in range(len(vocab))]
+    lines = []
+    for _ in range(n_ground):
+        if lines and rng.random() < 0.3:
+            lines.append(rng.choice(lines))  # exact duplicate
+        else:
+            lines.append(" ".join(rng.choices(vocab, weights=zipf, k=rng.randint(3, 20))))
+    ground = tmp_path / "ground.src"
+    ground.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    ind = tmp_path / "indomain.src"
+    ind.write_text("".join(line + "\n" for line in lines[::7]), encoding="utf-8")
+    words = sum(len(line.split()) for line in lines)
+    return ground, ind, words // 10
+
+
+@pytest.mark.parametrize("variant", sorted(SUBMOD_GOLDEN))
+def test_submod_order1_duplicate_pool_matches_pinned_digests(tmp_path, variant):
+    ground, ind, budget = write_duplicate_pool(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main([
+        "select", "--method", "submod", "--max-order", "1", "--variant", variant,
+        "--in-domain-src", str(ind), "--ground-src", str(ground),
+        "--budget-words", str(budget), "--out-dir", str(out_dir),
+    ]) == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SUBMOD_FILES}
+    assert digests == SUBMOD_GOLDEN[variant]
