@@ -38,6 +38,11 @@ DEFAULT_WORD_BUDGET = 100000.0
 FIXTURE_VECTORS = [{"u1": 9.0}, {"u1": 9.0}, {"u2": 4.0, "u3": 4.0}]
 FIXTURE_COSTS = [1, 1, 1]
 FIXTURE_BUDGET = 2
+# the options that describe an instance, none of which --fixture takes
+FIXTURE_FIXED = (
+    "budget_words", "budget_sentences", "budget_percent", "cost_mode",
+    "ground_src", "in_domain_src", "max_order", "feature_weights", "tokenizer",
+)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -128,7 +133,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--in-domain-src", default=None)
     sub.add_argument("--ground-src", default=None)
     sub.add_argument("--concave", default="sqrt")
-    sub.set_defaults(func=cmd_oracle)
+    # None until given, so that --fixture can reject them; cmd_oracle fills
+    # in the usual defaults for a corpus instance
+    given_only = ("tokenizer", "max_order", "feature_weights")
+    sub.set_defaults(func=cmd_oracle, instance_defaults={name: sub.get_default(name) for name in given_only},
+                     **dict.fromkeys(given_only))
     subs["oracle"] = sub
 
     sub = commands.add_parser("report", help="coverage/redundancy report for finished selections")
@@ -368,10 +377,11 @@ def cmd_select(args) -> int:
 def cmd_oracle(args) -> int:
     concave = ConcaveSpec.parse(args.concave)
     if args.fixture:
-        budgets = ("budget_words", "budget_sentences", "budget_percent")
-        given = ["--" + name.replace("_", "-") for name in budgets if getattr(args, name) is not None]
+        given = ["--" + name.replace("_", "-") for name in FIXTURE_FIXED if getattr(args, name) is not None]
         if given:
-            raise ConfigError(f"--fixture has its own budget of {FIXTURE_BUDGET}; drop {', '.join(given)}")
+            raise ConfigError(
+                f"--fixture is a fixed instance with its own budget of {FIXTURE_BUDGET}; drop {', '.join(given)}"
+            )
         optimal_ids, optimal_f = brute_force_vectors(
             FIXTURE_VECTORS, FIXTURE_COSTS, concave, FIXTURE_BUDGET
         )
@@ -379,6 +389,9 @@ def cmd_oracle(args) -> int:
             FIXTURE_VECTORS, FIXTURE_COSTS, concave, FIXTURE_BUDGET
         )
     else:
+        for name, default in args.instance_defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         if not args.ground_src or not args.in_domain_src:
             raise ConfigError("oracle needs --ground-src and --in-domain-src (or --fixture)")
         _require_files(args.ground_src, args.in_domain_src)

@@ -7,10 +7,17 @@ The predicted-event space is the regular vocabulary plus the end marker
 and the unknown token, and every conditional distribution over it sums
 to one (exactly for MLE on seen histories, within rounding otherwise).
 
-Sentences are scored in batches against sorted integer-key tables, one
-order at a time (the sorted-array layout of Heafield's KenLM). The
-recursive ``_prob`` is the scalar definition; batch scores reproduce it
-bit for bit.
+A model's state is one table per order under sorted int64 keys (the
+sorted-array layout of Heafield's KenLM; see ``ngramkeys``). Token ids
+follow string order: the sorted vocabulary, then the end, unknown and
+start markers. Training maps the corpus to ids once and counts each
+order's windows with ``np.unique``. ``save_lm`` writes the v1 JSON file
+from the tables, and ``load_lm`` reads it straight back into tables. It
+checks the file as it loads: counts, orders, tokens and histories.
+Sentences are scored in batches against the tables, one order at a time.
+The recursive ``_prob`` is the scalar definition; batch scores reproduce
+it bit for bit. Only ``_prob`` and inspection read ``counts``, a
+tuple-keyed view that decodes an order when it is first read.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,31 +68,38 @@ def parse_smoothing(text: str) -> tuple[str, float]:
     )
 
 
+def _token_ids(vocab) -> dict[str, int]:
+    """Each token's id: the vocabulary in string order, then the end, unknown and start markers."""
+    return {tok: i for i, tok in enumerate([*dict.fromkeys(sorted(vocab)), EOS, UNK, BOS])}
+
+
 def _padded(
-    sentences: Iterable[Sentence | Sequence[str]], vocab, order: int, markers: bool
-) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """The sequences sentences are counted and scored over, concatenated.
+    sentences: Iterable[Sentence | Sequence[str]], ids: dict[str, int], order: int, markers: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The id sequences sentences are counted and scored over, concatenated.
 
     Tokens outside the vocabulary become the unknown marker; literal
     marker strings in running text are out-of-vocabulary too. With
     markers each sequence is start-padded to a full history and ends with
-    the end marker, whose event is scored. Returns the tokens, each
+    the end marker, whose event is scored. Returns the token ids, each
     sentence's sequence length, each position's depth (the tokens before
     it in its sequence) and the depth of every sentence's first event.
     """
+    eos, unk, bos = len(ids) - 3, len(ids) - 2, len(ids) - 1
+    texts = [x.source_tokens if isinstance(x, Sentence) else x for x in sentences]
+    n_words = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    words = np.fromiter(
+        map(ids.get, chain.from_iterable(texts), repeat(unk)), dtype=np.int64, count=int(n_words.sum())
+    )
+    words[words >= eos] = unk  # marker strings in running text
     first = order - 1 if markers else 0
-    start_pad, end = ((BOS,) * first, (EOS,)) if markers else ((), ())
-    flat: list[str] = []
-    lens: list[int] = []
-    for x in sentences:
-        tokens = x.source_tokens if isinstance(x, Sentence) else x
-        start = len(flat)
-        flat.extend(start_pad)
-        flat.extend(t if t in vocab else UNK for t in tokens)
-        flat.extend(end)
-        lens.append(len(flat) - start)
-    lens_a = np.array(lens, dtype=np.int64)
-    return flat, lens_a, depths(lens_a), first
+    lens = n_words + (first + 1 if markers else 0)
+    starts = np.cumsum(lens) - lens
+    tok = np.full(int(lens.sum()), bos, dtype=np.int64)
+    tok[np.repeat(starts + first, n_words) + depths(n_words)] = words
+    if markers:
+        tok[starts + lens - 1] = eos
+    return tok, lens, depths(lens), first
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,33 @@ class _OrderTable:
     counts: np.ndarray  # aligned with keys
 
 
+def _order_table(hist_keys: np.ndarray, keys: np.ndarray, counts: np.ndarray, base: int) -> _OrderTable:
+    """An order's table from its sorted history keys and its sorted n-gram keys with their counts."""
+    hist = keys // base
+    hist_total = np.zeros(len(hist_keys), dtype=np.int64)
+    np.add.at(hist_total, hist, counts)
+    return _OrderTable(hist_keys, hist_total, np.bincount(hist, minlength=len(hist_keys)), keys, counts)
+
+
+def _count(tok: np.ndarray, depth: np.ndarray, first: int, order: int, base: int) -> list[_OrderTable]:
+    """One table per order from the windows of a padded id stream that end at an event."""
+    tables: list[_OrderTable] = []
+    hist = np.zeros(len(tok), dtype=np.int64)  # the empty history, before every position
+    for k in range(1, order + 1):
+        # the history of every window that fits in its sentence, not only
+        # of those that end at an event: the others are all start markers,
+        # a history the first event of every sentence has too
+        fit = np.flatnonzero(depth >= k - 1)
+        hist_key = hist[fit - 1] * base + tok[fit - 1] if k > 1 else hist
+        hist_keys, hist_rank = np.unique(hist_key, return_inverse=True)
+        hist = np.full(len(tok), -1, dtype=np.int64)
+        hist[fit] = hist_rank
+        events = np.flatnonzero(depth >= max(first, k - 1))
+        keys, counts = np.unique(hist[events] * base + tok[events], return_counts=True)
+        tables.append(_order_table(hist_keys, keys, counts, base))
+    return tables
+
+
 def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``values[idx]``, with 0 where the index is -1."""
     out = np.zeros(len(idx), dtype=values.dtype)
@@ -116,11 +158,34 @@ def _empty_history(tables: list[_OrderTable], n: int) -> np.ndarray:
     return np.full(n, 0 if len(tables[0].hist_keys) else -1, dtype=np.int64)
 
 
-class NgramLanguageModel:
-    """Counts plus a smoothing rule; probabilities are computed on demand.
+class _Counts(Mapping):
+    """One order's counts keyed by token tuples, decoded from its table on first read."""
 
-    ``counts`` must not change after construction: the scoring tables and
-    the scalar path's history statistics are derived from it on first use.
+    def __init__(self, lm: "NgramLanguageModel", k: int):
+        self._lm = lm
+        self._k = k
+
+    def __len__(self) -> int:
+        return len(self._lm.tables[self._k - 1].keys)
+
+    @cached_property
+    def _decoded(self) -> dict[tuple[str, ...], int]:
+        table = self._lm.tables[self._k - 1]
+        return dict(zip(self._lm._tuples(table.keys, self._k), table.counts.tolist()))
+
+    def __getitem__(self, ngram: tuple[str, ...]) -> int:
+        return self._decoded[ngram]
+
+    def __iter__(self):
+        return iter(self._decoded)
+
+
+class NgramLanguageModel:
+    """Count tables plus a smoothing rule; probabilities are computed on demand.
+
+    ``ids`` numbers the tokens as ``_token_ids`` does, and ``tables``
+    holds one ``_OrderTable`` per order, 1 to ``order``, keyed by those
+    ids. Neither may change after construction.
     """
 
     def __init__(
@@ -130,16 +195,18 @@ class NgramLanguageModel:
         add_k: float,
         markers: bool,
         unk_floor: int,
-        vocab: frozenset[str],
-        counts: dict[int, dict[tuple[str, ...], int]],
+        ids: dict[str, int],
+        tables: list[_OrderTable],
     ):
         self.order = order
         self.smoothing = smoothing
         self.add_k = add_k
         self.markers = markers
         self.unk_floor = unk_floor
-        self.vocab = vocab
-        self.counts = counts
+        self.ids = ids
+        self.tokens = list(ids)  # by id
+        self.vocab = frozenset(self.tokens[:-3])
+        self.tables = tables
 
     @property
     def event_vocab_size(self) -> int:
@@ -147,67 +214,53 @@ class NgramLanguageModel:
         return len(self.vocab) + 2
 
     def event_vocab(self) -> list[str]:
-        return sorted(self.vocab) + [EOS, UNK]
+        return self.tokens[:-1]
 
     def map_token(self, token: str) -> str:
         if token in self.vocab or token in (BOS, EOS, UNK):
             return token
         return UNK
 
-    def _per_history(self, value) -> dict[int, dict[tuple[str, ...], int]]:
-        out: dict[int, dict[tuple[str, ...], int]] = {}
-        for k, table in self.counts.items():
-            sums: dict[tuple[str, ...], int] = {}
-            for ngram, c in table.items():
-                hist = ngram[:-1]
-                sums[hist] = sums.get(hist, 0) + value(c)
-            out[k] = sums
-        return out
+    def _columns(self, keys: np.ndarray, m: int) -> list[list[str]]:
+        """The tokens of the length-m sequences with these keys (n-gram keys of
+        order m, or history keys of order m + 1), one list per position."""
+        tokens = np.array(self.tokens, dtype=object)
+        base = len(self.tokens)
+        cols = []
+        for j in range(m - 1, -1, -1):
+            cols.append(tokens[keys % base].tolist())
+            if j:
+                keys = self.tables[j].hist_keys[keys // base]
+        return cols[::-1]
+
+    def _tuples(self, keys: np.ndarray, m: int) -> list[tuple[str, ...]]:
+        return list(zip(*self._columns(keys, m))) if m else [()] * len(keys)
+
+    @cached_property
+    def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:
+        """Per order, each n-gram's count under its token tuple.
+
+        A read-only view for the scalar ``_prob`` and for inspection: an
+        order's tuples are decoded on its first lookup, but its length is
+        the table's size.
+        """
+        return {k: _Counts(self, k) for k in range(1, self.order + 1)}
+
+    def _per_history(self, column: str) -> dict[int, dict[tuple[str, ...], int]]:
+        return {
+            k: dict(zip(self._tuples(table.hist_keys, k - 1), getattr(table, column).tolist()))
+            for k, table in enumerate(self.tables, start=1)
+        }
 
     @cached_property
     def _hist_total(self) -> dict[int, dict[tuple[str, ...], int]]:
         """Per order, each history's summed count (scalar path only)."""
-        return self._per_history(lambda c: c)
+        return self._per_history("hist_total")
 
     @cached_property
     def _hist_types(self) -> dict[int, dict[tuple[str, ...], int]]:
         """Per order, each history's number of distinct continuations (scalar path only)."""
-        return self._per_history(lambda c: 1)
-
-    @cached_property
-    def _tables(self) -> tuple[dict[str, int], list[_OrderTable]]:
-        """Token ids and one sorted-key table per order, built on first batch scoring."""
-        tok_id = {tok: i for i, tok in enumerate(chain(self.vocab, (EOS, UNK, BOS)))}
-        base = len(tok_id)
-        tables: list[_OrderTable] = []
-        for k in range(1, self.order + 1):
-            table = self.counts.get(k, {})
-            n = len(table)
-            try:
-                ids = np.fromiter(
-                    map(tok_id.__getitem__, chain.from_iterable(table)), dtype=np.int64, count=n * k
-                ).reshape(n, k)
-            except KeyError as exc:
-                raise ConfigError(f"order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
-            counts = np.fromiter(table.values(), dtype=np.int64, count=n)
-            if k == 1:
-                hist_key = np.zeros(n, dtype=np.int64)
-            else:
-                prefix = _empty_history(tables, n)
-                for j in range(1, k - 1):
-                    prefix = rank(tables[j].hist_keys, prefix, ids[:, j - 1], base)
-                if (prefix < 0).any():
-                    raise ConfigError(f"order-{k} counts extend a history no shorter n-gram has")
-                hist_key = prefix * base + ids[:, k - 2]
-            hist_keys, hist_rank, hist_types = np.unique(
-                hist_key, return_inverse=True, return_counts=True
-            )
-            hist_total = np.zeros(len(hist_keys), dtype=np.int64)
-            np.add.at(hist_total, hist_rank, counts)
-            keys = hist_rank * base + ids[:, k - 1]
-            by_key = np.argsort(keys)
-            tables.append(_OrderTable(hist_keys, hist_total, hist_types, keys[by_key], counts[by_key]))
-        return tok_id, tables
+        return self._per_history("hist_types")
 
     def _prob(self, word: str, hist: tuple[str, ...]) -> float:
         k = len(hist) + 1
@@ -278,16 +331,10 @@ def _train(
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
-    vocab = vocab - {BOS, EOS, UNK}
-    flat, _, depth, first = _padded(corpus, vocab, order, markers)
-    counts: dict[int, dict[tuple[str, ...], int]] = {}
-    for k in range(1, order + 1):
-        # every length-k window that ends at an event; a window ending at
-        # position i stays inside i's sentence when depth[i] >= k - 1
-        ends = (depth >= max(first, k - 1)).tolist()
-        windows = zip(*(flat[j:] for j in range(k)))
-        counts[k] = dict(Counter(compress(windows, ends[k - 1 :])))
-    return NgramLanguageModel(order, kind, add_k, markers, unk_floor, frozenset(vocab), counts)
+    ids = _token_ids(vocab - {BOS, EOS, UNK})
+    tok, _, depth, first = _padded(corpus, ids, order, markers)
+    tables = _count(tok, depth, first, order, len(ids))
+    return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
 
 def corpus_vocab(corpus: Corpus, unk_floor: int = 1) -> set[str]:
@@ -310,10 +357,14 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
     result is the left-to-right sum of ``math.log`` of those
     probabilities, so it equals the scalar definition exactly.
     """
-    tok_id, tables = lm._tables
-    base = len(tok_id)
-    flat, lens, depth, first = _padded(sentences, lm.vocab, lm.order, lm.markers)
-    tok = np.fromiter(map(tok_id.__getitem__, flat), dtype=np.int64, count=len(flat))
+    return _log_probs(lm, _padded(sentences, lm.ids, lm.order, lm.markers))
+
+
+def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> list[float]:
+    """``log_probs`` over sentences ``_padded`` with the model's ids, order and markers."""
+    tok, lens, depth, first = padded
+    tables = lm.tables
+    base = len(lm.ids)
     prev_tok = np.zeros_like(tok)
     prev_tok[1:] = tok[:-1]
     events = np.flatnonzero(depth >= first)
@@ -366,7 +417,16 @@ def log_prob(lm: NgramLanguageModel, x: Sentence | Sequence[str]) -> float:
 
 
 def save_lm(lm: NgramLanguageModel, path) -> None:
-    """Serialize counts and settings to a versioned JSON file, deterministically."""
+    """Serialize counts and settings to a versioned JSON file, deterministically.
+
+    Each order's n-grams are written as space-joined tokens, in string
+    order, which is not id order (a token may hold a character below the
+    space).
+    """
+    counts = {}
+    for k, table in enumerate(lm.tables, start=1):
+        joined = map(" ".join, zip(*lm._columns(table.keys, k)))
+        counts[str(k)] = dict(zip(joined, table.counts.tolist()))
     payload = {
         "format": LM_MAGIC,
         "version": LM_VERSION,
@@ -375,18 +435,24 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
         "add_k": lm.add_k,
         "markers": lm.markers,
         "unk_floor": lm.unk_floor,
-        "vocab": sorted(lm.vocab),
-        "counts": {
-            str(k): {" ".join(ngram): c for ngram, c in table.items()}
-            for k, table in lm.counts.items()
-        },
+        "vocab": lm.tokens[:-3],
+        "counts": counts,
     }
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
 def load_lm(path) -> NgramLanguageModel:
+    """Read a model written by ``save_lm`` straight into its tables.
+
+    The file is checked as it loads: every count must be a JSON integer
+    of at least 1, every table an order from 1 to the model's, every
+    n-gram as long as its order and made of vocabulary tokens and
+    markers, and every history must extend one the next-shorter order
+    has. Anything else raises ``ConfigError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -396,18 +462,48 @@ def load_lm(path) -> NgramLanguageModel:
         raise ConfigError(f"{path}: not a language-model file")
     if payload.get("version") != LM_VERSION:
         raise ConfigError(f"{path}: unsupported language-model version {payload.get('version')}")
-    counts = {
-        int(k): {tuple(key.split(" ")): int(c) for key, c in table.items()}
-        for k, table in payload["counts"].items()
-    }
-    if any(set(map(len, table)) - {k} for k, table in counts.items()):
-        raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
-    return NgramLanguageModel(
-        order=int(payload["order"]),
-        smoothing=payload["smoothing"],
-        add_k=float(payload["add_k"]),
-        markers=bool(payload["markers"]),
-        unk_floor=int(payload["unk_floor"]),
-        vocab=frozenset(payload["vocab"]),
-        counts=counts,
-    )
+    try:
+        order, smoothing, vocab, tables = (payload[f] for f in ("order", "smoothing", "vocab", "counts"))
+        add_k, markers, unk_floor = float(payload["add_k"]), bool(payload["markers"]), int(payload["unk_floor"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed language-model header") from exc
+    if type(order) is not int or order < 1 or smoothing not in SMOOTHINGS or not isinstance(tables, dict):
+        raise ConfigError(f"{path}: malformed language-model header")
+    if not isinstance(vocab, list) or set(map(type, vocab)) - {str} or {BOS, EOS, UNK} & set(vocab):
+        raise ConfigError(f"{path}: the vocabulary must be a list of tokens other than the markers")
+    extra = [name for name in tables if not name.isdecimal() or name != str(int(name)) or not 1 <= int(name) <= order]
+    if extra:
+        raise ConfigError(f"{path}: count tables {sorted(extra)} are outside orders 1 to {order}")
+    ids = _token_ids(vocab)
+    base = len(ids)
+    built: list[_OrderTable] = []
+    for k in range(1, order + 1):
+        table = tables.get(str(k), {})
+        values = table.values() if isinstance(table, dict) else [None]
+        # bool is a subclass of int, so compare the types themselves
+        if set(map(type, values)) - {int} or min(values, default=1) < 1 or max(values, default=1) >= 2**63:
+            raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
+        n = len(table)
+        counts = np.fromiter(values, dtype=np.int64, count=n)
+        if set(map(str.count, table, repeat(" "))) - {k - 1}:
+            raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
+        tokens = " ".join(table).split(" ") if n else []
+        try:
+            ngrams = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=n * k).reshape(n, k)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+        if k == 1:
+            hist_key = np.zeros(n, dtype=np.int64)
+        else:
+            prefix = _empty_history(built, n)
+            for j in range(1, k - 1):
+                prefix = rank(built[j].hist_keys, prefix, ngrams[:, j - 1], base)
+            if (prefix < 0).any():
+                raise ConfigError(f"{path}: order-{k} counts extend a history no shorter n-gram has")
+            hist_key = prefix * base + ngrams[:, k - 2]
+        hist_keys, hist_rank = np.unique(hist_key, return_inverse=True)
+        keys = hist_rank * base + ngrams[:, k - 1]
+        by_key = np.argsort(keys)
+        built.append(_order_table(hist_keys, keys[by_key], counts[by_key], base))
+    return NgramLanguageModel(order, smoothing, add_k, markers, unk_floor, ids, built)
+

@@ -23,9 +23,10 @@ def rank(sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: i
     out = np.full(len(parent), -1, dtype=np.int64)
     ok = np.flatnonzero(parent >= 0)
     if len(sorted_keys) and len(ok):
-        query = parent[ok] * base + token[ok]
+        # look each distinct key up once; real text repeats most of them
+        query, inverse = np.unique(parent[ok] * base + token[ok], return_inverse=True)
         idx = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
-        out[ok] = np.where(sorted_keys[idx] == query, idx, -1)
+        out[ok] = np.where(sorted_keys[idx] == query, idx, -1)[inverse]
     return out
 
 

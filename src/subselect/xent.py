@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import ConfigError
-from .lm import NgramLanguageModel, _train, corpus_vocab, log_probs
+from .lm import NgramLanguageModel, _log_probs, _padded, _train, corpus_vocab
 from .submodular import SelectionState, SelectionStep
 
 
@@ -43,8 +43,12 @@ def _score(
     sentences: Sequence[Sentence], lm_in: NgramLanguageModel, lm_out: NgramLanguageModel
 ) -> list[ScoredSentence]:
     _check_pair(lm_in, lm_out)
+    # orders and markers agree, so a pair over one vocabulary, as trained
+    # pairs are, scores one id stream
+    padded_in = _padded(sentences, lm_in.ids, lm_in.order, lm_in.markers)
+    padded_out = padded_in if lm_out.ids == lm_in.ids else _padded(sentences, lm_out.ids, lm_out.order, lm_out.markers)
     scored = []
-    for sent, lp_in, lp_out in zip(sentences, log_probs(lm_in, sentences), log_probs(lm_out, sentences)):
+    for sent, lp_in, lp_out in zip(sentences, _log_probs(lm_in, padded_in), _log_probs(lm_out, padded_out)):
         diff = lp_in - lp_out
         if math.isnan(diff):
             scored.append(ScoredSentence(sent.id, float("nan"), sent.cost, defined=False))

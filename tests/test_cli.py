@@ -1,3 +1,4 @@
+import json
 import logging
 import subprocess
 import sys
@@ -101,6 +102,20 @@ class TestTrainLmAndScore:
         tmp, ground, _ = corpora
         rc = main([
             "train-lm", "--src", ground, "--smoothing", "bogus", "--out", str(tmp / "m.lm"),
+        ])
+        assert rc == 2
+
+    def test_malformed_model_exits_2(self, corpora):
+        # a fractional count, which loading used to truncate silently
+        tmp, ground, _ = corpora
+        model = tmp / "m.lm"
+        assert main(["train-lm", "--src", ground, "--order", "2", "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["counts"]["2"] = {ngram: 2.5 for ngram in payload["counts"]["2"]}
+        model.write_text(json.dumps(payload))
+        rc = main([
+            "score", "--ground-src", ground, "--lm-in", str(model), "--lm-out", str(model),
+            "--out", str(tmp / "scores.tsv"),
         ])
         assert rc == 2
 
@@ -298,6 +313,18 @@ class TestOracleCommand:
     ])
     def test_fixture_rejects_a_budget(self, capsys, flag, value):
         # the fixture's optimum is only known at its own budget
+        assert main(["oracle", "--fixture", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ground-src", "/nonexistent/ground.src"), ("--in-domain-src", "/nonexistent/in.src"),
+        ("--cost-mode", "words"), ("--max-order", "3"), ("--feature-weights", "freq"),
+        ("--tokenizer", "lowercase-whitespace"),
+    ])
+    def test_fixture_rejects_instance_flags(self, capsys, flag, value):
+        # the fixture is a fixed set of vectors: no corpus, tokens, n-grams or costs to choose
         assert main(["oracle", "--fixture", flag, value]) == 2
         captured = capsys.readouterr()
         assert flag in captured.err

@@ -150,3 +150,38 @@ def test_submod_order1_duplicate_pool_matches_pinned_digests(tmp_path, variant):
     ]) == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SUBMOD_FILES}
     assert digests == SUBMOD_GOLDEN[variant]
+
+
+# `train-lm` on each side of the 150-sentence pool above, the other side
+# joining the vocabulary through --extra-vocab-src, then `score` with the
+# pair: the JSON model files and the score dump, per smoothing. Recorded
+# from an earlier implementation.
+LM_GOLDEN = {
+    "interpolated-wb": {
+        "lm_in.json": "25179f2513c507c2eb5fd6bd66bb26fe00b95996e8b4177a068866c081032f28",
+        "lm_out.json": "4ff51ad21f6576b076a1707a7bb7d66b56fd9464086b91cfd4ced919fa3df41d",
+        "scores.tsv": "00eeb756f32d83eb458ffe79fdfb3f235baf6885ec0ac2dd0a62acf987311163",
+    },
+    "add-k:0.25": {
+        "lm_in.json": "421f40b58ff9ba077af463e1faa391d7e996d6a27ad6bfc50444f81b1d4d940e",
+        "lm_out.json": "7d37f28eec023504abbacb2b25985628e31a9ca182d2c4ed3b7f6520dc88cb01",
+        "scores.tsv": "ce29ac51a8d337a508f5d9e630930186094e53f836e035d5fbf2b6ce3c42c211",
+    },
+}
+
+
+@pytest.mark.parametrize("smoothing", sorted(LM_GOLDEN))
+def test_staged_lm_files_match_pinned_digests(tmp_path, smoothing):
+    ground, ind = write_inputs(tmp_path, 150)
+    lm_in, lm_out, scores = tmp_path / "lm_in.json", tmp_path / "lm_out.json", tmp_path / "scores.tsv"
+    for src, other, out in ((ind, ground, lm_in), (ground, ind, lm_out)):
+        assert main([
+            "train-lm", "--src", str(src), "--extra-vocab-src", str(other),
+            "--smoothing", smoothing, "--out", str(out),
+        ]) == 0
+    assert main([
+        "score", "--ground-src", str(ground), "--lm-in", str(lm_in), "--lm-out", str(lm_out),
+        "--out", str(scores),
+    ]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (lm_in, lm_out, scores)}
+    assert digests == LM_GOLDEN[smoothing]

@@ -288,24 +288,39 @@ class TestSerialization:
             load_lm(path)
 
     @pytest.mark.parametrize(
-        "table, ngram, at_load",
+        "table, ngram, count",
         [
-            ("2", "a b a", True),  # three tokens in the bigram table
-            ("2", "a q", False),  # a token outside the vocabulary
-            ("3", "c a b", False),  # extends (c,), which no bigram has as history
+            ("2", "a b a", 1),  # three tokens in the bigram table
+            ("2", "a q", 1),  # a token outside the vocabulary
+            ("3", "c a b", 1),  # extends (c,), which no bigram has as history
+            ("2", "a b", 2.5),  # not an integer
+            ("2", "a b", -3),
+            ("2", "a b", 0),
+            ("2", "a b", True),  # a JSON boolean, not a count
+            ("5", "a b a b a", 1),  # a table beyond the model's order
         ],
     )
-    def test_malformed_counts_rejected(self, tmp_path, table, ngram, at_load):
+    def test_malformed_counts_rejected(self, tmp_path, table, ngram, count):
         import json
 
         path = tmp_path / "model.json"
         save_lm(train_lm(corpus_of("a b"), order=3, extra_vocab={"c"}), path)
         payload = json.loads(path.read_text())
-        payload["counts"][table][ngram] = 1
+        payload["counts"].setdefault(table, {})[ngram] = count
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
-            log_prob(load_lm(path), ["a", "b"])
-        if not at_load:
+            load_lm(path)
+
+    def test_lengths_that_add_up_are_still_rejected(self, tmp_path):
+        # three tokens and one in two bigram keys: four tokens, as two bigrams would have
+        import json
+
+        path = tmp_path / "model.json"
+        save_lm(train_lm(corpus_of("a b"), order=2, extra_vocab={"c"}), path)
+        payload = json.loads(path.read_text())
+        payload["counts"]["2"].update({"a b a": 1, "c": 1})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="length"):
             load_lm(path)
 
 
@@ -391,12 +406,24 @@ class TestBatchMatchesScalar:
         assert log_probs(lm, sentences) == [scalar_log_prob(lm, toks) for toks in sentences]
 
     def test_scoring_builds_no_scalar_history_tables(self, tmp_path):
+        # train, save, load and score work on the tables alone: neither the
+        # tuple-keyed counts view nor the scalar history dicts get built
         lm = train_lm(corpus_of("a b a", "c b"), order=3)
         save_lm(lm, tmp_path / "model.json")
-        for model in (lm, load_lm(tmp_path / "model.json")):
+        loaded = load_lm(tmp_path / "model.json")
+        score_corpus(corpus_of("a b", "c", "zzz a"), lm, loaded)
+        for model in (lm, loaded):
             log_probs(model, [["a", "b"], ["c"]])
+            assert "counts" not in vars(model)
             assert "_hist_total" not in vars(model)
             assert "_hist_types" not in vars(model)
+
+    def test_counts_view_sizes_without_decoding(self):
+        lm = train_lm(corpus_of("a b a", "c b"), order=3)
+        assert [len(lm.counts[k]) for k in (1, 2, 3)] == [4, 7, 7]
+        assert not any("_decoded" in vars(view) for view in lm.counts.values())
+        assert lm.counts[2][("a", "b")] == 1
+        assert "_decoded" in vars(lm.counts[2])
 
     def test_empty_batch(self):
         lm = train_lm(corpus_of("a b"), order=3)
