@@ -23,7 +23,6 @@ from .features import (
     extract_feature_set,
     featurize,
     fit_idf,
-    iter_ngrams,
     load_feature_set,
     save_feature_set,
 )

@@ -5,20 +5,27 @@ The feature universe is every contiguous source-side n-gram of order
 attaches document frequencies and idf = ln(|ground| / doc_freq); a
 sentence's relevance to feature u is then count(u in sentence) * idf(u).
 
-A feature set interns its universe once, as sorted chained integer keys
-(see ``ngramkeys``), and finds the features of any batch of sentences
-one order at a time with ``np.searchsorted``. Document frequencies, the
-greedy's relevance matrix, single feature vectors and the report's
-coverage all come from that one enumeration.
+A feature set is columnar. Its universe is interned once, as sorted
+chained integer keys (see ``ngramkeys``), and its statistics are arrays
+in set order: ``weight``, ``doc_freq`` and ``idf``. The features of any
+batch of sentences are found one order at a time with
+``np.searchsorted``. Document frequencies, the greedy's relevance
+matrix, single feature vectors and the report's coverage all come from
+that one enumeration, and a fitted set keeps the ground's enumeration
+for the greedy's relevance matrix, so ``select`` walks the pool once.
+N-gram tuples and ``FeatureInfo`` objects are built only when a caller
+reads ``features`` or a feature vector.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +45,7 @@ FEATURE_WEIGHTINGS = ("uniform", "freq")
 
 @dataclass
 class FeatureInfo:
-    """Per-feature weight and fit statistics.
+    """Per-feature weight and fit statistics, as ``FeatureSet.features`` shows them.
 
     idf is None until the set is fitted, and stays None for features the
     ground set never contains (they are retained but cannot contribute).
@@ -49,38 +56,117 @@ class FeatureInfo:
     idf: float | None = None
 
 
-@dataclass
 class FeatureSet:
-    """A feature universe with per-feature statistics.
+    """A feature universe with per-feature statistics, as arrays in set order.
 
-    The n-grams in ``features`` must not change once the set has been
-    used: its integer index is built from them on first use.
+    ``weight`` (float64), ``doc_freq`` (int64) and ``idf`` (float64, NaN
+    where a feature has none) are aligned with the index's feature
+    positions; none of them may change once the set is built.
+    ``features`` is a read-only mapping from n-gram tuples to
+    ``FeatureInfo``, decoded on demand. Build a set by hand from such a
+    mapping with ``FeatureSet(max_order, features, ground_size)``.
     """
 
-    max_order: int
-    features: dict[NGram, FeatureInfo]
-    ground_size: int = 0  # number of ground sentences fitted against; 0 = unfitted
+    def __init__(self, max_order: int, features: Mapping[NGram, FeatureInfo], ground_size: int = 0):
+        infos = list(features.values())
+        lens = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
+        self._init(
+            max_order,
+            _NgramIndex.build(list(chain.from_iterable(features)), lens, max_order),
+            np.array([info.weight for info in infos], dtype=np.float64),
+            np.array([info.doc_freq for info in infos], dtype=np.int64),
+            np.array([math.nan if info.idf is None else info.idf for info in infos], dtype=np.float64),
+            ground_size,
+        )
+
+    def _init(self, max_order, index, weight, doc_freq, idf, ground_size) -> None:
+        self.max_order = max_order
+        self._index = index
+        self.weight = weight
+        self.doc_freq = doc_freq
+        self.idf = idf
+        self.ground_size = ground_size  # number of ground sentences fitted against; 0 = unfitted
+        # the ground's (row, position, count) pairs, kept by fit_idf for one relevance_rows call
+        self._ground: tuple[Sequence[Sentence], tuple[np.ndarray, ...]] | None = None
+
+    @classmethod
+    def _of(cls, max_order, index, weight, doc_freq, idf, ground_size=0) -> FeatureSet:
+        out = cls.__new__(cls)
+        out._init(max_order, index, weight, doc_freq, idf, ground_size)
+        return out
 
     @property
     def fitted(self) -> bool:
         return self.ground_size > 0
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.weight)
 
     def __contains__(self, ngram: NGram) -> bool:
-        return ngram in self.features
+        return ngram in self._index.position_of
 
-    @cached_property
-    def _index(self) -> _NgramIndex:
-        return _NgramIndex.build(list(self.features), self.max_order)
+    def __eq__(self, other) -> bool:
+        """The same features with the same statistics, in any set order."""
+        if not isinstance(other, FeatureSet):
+            return NotImplemented
+        return (self.max_order, self.ground_size) == (other.max_order, other.ground_size) and (
+            self.features == other.features
+        )
 
-    def _weight_idf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each feature's weight and idf (0.0 where None), in set order."""
-        infos = self.features.values()
-        weight = np.fromiter((i.weight for i in infos), dtype=np.float64, count=len(infos))
-        idf = np.fromiter((i.idf or 0.0 for i in infos), dtype=np.float64, count=len(infos))
-        return weight, idf
+    @property
+    def features(self) -> Mapping[NGram, FeatureInfo]:
+        """Each feature's statistics under its n-gram tuple, in set order."""
+        return _Features(self)
+
+    def _pairs(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_index.pairs(sentences)``, taken from ``fit_idf`` when it enumerated these very sentences."""
+        if self._ground is not None and self._ground[0] is sentences:
+            pairs = self._ground[1]
+            self._ground = None  # used once: the greedy need not hold them
+            return pairs
+        return self._index.pairs(sentences)
+
+
+class _Features(Mapping):
+    """A feature set as n-gram tuple -> ``FeatureInfo``, built from its arrays on each read."""
+
+    def __init__(self, features: FeatureSet):
+        self._set = features
+
+    def __len__(self) -> int:
+        return len(self._set)
+
+    def __iter__(self):
+        return iter(self._set._index.ngrams)
+
+    def __getitem__(self, ngram: NGram) -> FeatureInfo:
+        p = self._set._index.position_of[ngram]
+        idf = float(self._set.idf[p])
+        return FeatureInfo(float(self._set.weight[p]), int(self._set.doc_freq[p]), None if math.isnan(idf) else idf)
+
+    def values(self):
+        return _Infos(self)
+
+
+class _Infos(ValuesView):
+    """The ``FeatureInfo`` of every feature, from the arrays alone, in set order."""
+
+    def __iter__(self):
+        fs = self._mapping._set
+        idf = [None if math.isnan(x) else x for x in fs.idf.tolist()]
+        return map(FeatureInfo, fs.weight.tolist(), fs.doc_freq.tolist(), idf)
+
+
+def _token_ids(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Ids for the distinct tokens in string order, and the tokens as ids."""
+    tok_id = {tok: i for i, tok in enumerate(sorted(set(tokens)))}
+    return tok_id, np.fromiter(map(tok_id.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _token_stream(sentences: Sequence[Sentence]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """The sentences' tokens laid end to end as ids in string order, and each sentence's length."""
+    tok_id, tok = _token_ids(list(chain.from_iterable(s.source_tokens for s in sentences)))
+    return tok_id, tok, np.fromiter((len(s.source_tokens) for s in sentences), dtype=np.int64, count=len(sentences))
 
 
 @dataclass(frozen=True)
@@ -95,21 +181,19 @@ class _NgramIndex:
     is no feature. Only the first ``max_order`` tables are looked up.
     """
 
-    ngrams: list[NGram]  # set order
-    tok_id: dict[str, int]  # a token outside the universe gets id len(tok_id)
+    tok_id: dict[str, int]  # in id order; a token outside the universe gets id len(tok_id)
     max_order: int
     tables: list[np.ndarray]
     position: list[np.ndarray]
+    size: int  # features, at positions 0..size-1
 
     @classmethod
-    def build(cls, ngrams: list[NGram], max_order: int) -> _NgramIndex:
-        tokens = list(chain.from_iterable(ngrams))
-        tok_id = {tok: i for i, tok in enumerate(sorted(set(tokens)))}
+    def build(cls, tokens: list[str], lens: np.ndarray, max_order: int) -> _NgramIndex:
+        """The index of n-grams laid end to end in ``tokens``, ``lens`` tokens each, in this set order."""
+        tok_id, flat = _token_ids(tokens)
         base = len(tok_id) + 1
-        flat = np.fromiter(map(tok_id.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        lens = np.fromiter(map(len, ngrams), dtype=np.int64, count=len(ngrams))
         starts = np.cumsum(lens) - lens
-        prefix = np.zeros(len(ngrams), dtype=np.int64)
+        prefix = np.zeros(len(lens), dtype=np.int64)
         tables: list[np.ndarray] = []
         position: list[np.ndarray] = []
         for k in range(1, int(lens.max(initial=0)) + 1):
@@ -121,7 +205,68 @@ class _NgramIndex:
             pos[inverse[exact]] = sel[exact]
             tables.append(table)
             position.append(pos)
-        return cls(ngrams, tok_id, max_order, tables, position)
+        return cls(tok_id, max_order, tables, position, len(lens))
+
+    @classmethod
+    def intern(cls, sentences: Sequence[Sentence], max_order: int) -> tuple[_NgramIndex, np.ndarray]:
+        """Every n-gram of orders 1..max_order in these sentences, with its occurrence count.
+
+        Set order is the order in which a scan reaches each n-gram first:
+        sentence by sentence, and within a sentence order by order, left
+        to right. The universe is prefix-closed, so every table entry is
+        a feature.
+        """
+        tok_id, tok, lens = _token_stream(sentences)
+        depth = depths(lens)
+        tables, counts, firsts = [], [], []
+        for table, ranks in chain_ranks(tok, depth, max_order, len(tok_id) + 1):
+            if not len(table):
+                break  # no k-gram, so no longer one either
+            at = np.flatnonzero(ranks >= 0)
+            first = np.full(len(table), len(tok), dtype=np.int64)
+            np.minimum.at(first, ranks[at], at)  # where each k-gram first ends
+            tables.append(table)
+            counts.append(np.bincount(ranks[at], minlength=len(table)))
+            firsts.append(first)
+        sizes = [len(table) for table in tables]
+        first = np.concatenate([np.empty(0, dtype=np.int64), *firsts])
+        order = np.repeat(np.arange(1, len(tables) + 1), sizes)
+        sentence = np.repeat(np.arange(len(sentences)), lens)
+        rank_in_set = np.empty(len(first), dtype=np.int32)
+        # by sentence, then order, then start (the end's depth ranks starts of one order alike)
+        rank_in_set[np.lexsort((depth[first], order, sentence[first]))] = np.arange(len(first), dtype=np.int32)
+        position = np.split(rank_in_set, np.cumsum(sizes)[:-1]) if tables else []
+        count = np.empty(len(first), dtype=np.int64)
+        count[rank_in_set] = np.concatenate([np.empty(0, dtype=np.int64), *counts])
+        return cls(tok_id, max_order, tables, position, len(first)), count
+
+    def _spell(self, extend) -> list:
+        """Every feature's n-gram, built by ``extend(prefix, token)`` down the prefix tree
+        from ``None``, in set order."""
+        tokens = list(self.tok_id)
+        base = len(tokens) + 1
+        out: list = [None] * self.size
+        prev: list = [None]
+        for table, pos in zip(self.tables, self.position):
+            last = map(tokens.__getitem__, (table % base).tolist())
+            prev = list(map(extend, map(prev.__getitem__, (table // base).tolist()), last))
+            for p, ngram in zip(pos.tolist(), prev):
+                if p >= 0:
+                    out[p] = ngram
+        return out
+
+    @cached_property
+    def ngrams(self) -> list[NGram]:
+        """Every feature's token tuple, in set order."""
+        return self._spell(lambda head, tok: (tok,) if head is None else head + (tok,))
+
+    def joined(self) -> list[str]:
+        """Every feature's tokens joined by spaces, in set order."""
+        return self._spell(lambda head, tok: tok if head is None else f"{head} {tok}")
+
+    @cached_property
+    def position_of(self) -> dict[NGram, int]:
+        return {ngram: p for p, ngram in enumerate(self.ngrams)}
 
     def lex(self) -> np.ndarray:
         """Set positions in sorted n-gram order: the prefix tree walked depth first.
@@ -150,9 +295,10 @@ class _NgramIndex:
         """Every distinct feature of every sentence, with its occurrence count.
 
         Returns aligned int32 ``(row, position, count)`` arrays: rows in
-        input order and, within a row, features in the order
-        ``iter_ngrams`` first reaches them. Sentences are enumerated a
-        chunk at a time, so the temporary arrays stay small on any corpus.
+        input order and, within a row, features in the order a scan
+        reaches them first, order by order and left to right. Sentences
+        are enumerated a chunk at a time, so the temporary arrays stay
+        small on any corpus.
         """
         parts = [(np.empty(0, dtype=np.int32),) * 3]
         for start in range(0, len(sentences), _CHUNK):
@@ -169,7 +315,7 @@ class _NgramIndex:
         row_of = np.repeat(np.arange(len(sentences), dtype=np.int32), lens)
         rows = [np.empty(0, dtype=np.int32)]
         found = [np.empty(0, dtype=np.int32)]
-        # order-major, as iter_ngrams runs within a sentence
+        # order-major within a sentence, as the first-reached order is
         top = min(self.max_order, len(self.tables))
         orders = chain_ranks(tok, depths(lens), top, unknown + 1, self.tables)
         for pos, (_, ranks) in zip(self.position, orders):
@@ -180,7 +326,7 @@ class _NgramIndex:
             hit = feature >= 0
             rows.append(row_of[at[hit]])
             found.append(feature[hit])
-        width = max(len(self.ngrams), 1)
+        width = max(self.size, 1)
         key = np.concatenate(rows).astype(np.int64) * width + np.concatenate(found)
         key, first, count = np.unique(key, return_index=True, return_counts=True)
         row, position = key // width, key % width
@@ -198,14 +344,35 @@ class RelevanceRows:
 
     Row i's columns are ``cols[indptr[i]:indptr[i + 1]]``, ascending, with
     relevance ``vals`` (count * idf) at the same offsets. Column j is the
-    n-gram ``names[j]`` with weight ``weights[j]``.
+    feature ``names[j]`` with weight ``weights[j]``.
     """
 
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    names: list
+    names: Sequence
     weights: np.ndarray
+
+
+class _Names(Sequence):
+    """The n-gram tuples of some feature positions, decoded on first read."""
+
+    def __init__(self, index: _NgramIndex, positions: np.ndarray):
+        self._index = index
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    @cached_property
+    def _decoded(self) -> list[NGram]:
+        return list(map(self._index.ngrams.__getitem__, self._positions.tolist()))
+
+    def __getitem__(self, i):
+        return self._decoded[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -216,14 +383,6 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def iter_ngrams(tokens: tuple[str, ...] | list[str], max_order: int) -> Iterator[NGram]:
-    """All contiguous n-grams of orders 1..max_order, overlapping windows included."""
-    n = len(tokens)
-    for order in range(1, max_order + 1):
-        for i in range(n - order + 1):
-            yield tuple(tokens[i : i + order])
 
 
 def extract_feature_set(
@@ -244,15 +403,19 @@ def extract_feature_set(
         )
     if len(in_domain) == 0:
         raise EmptyCorpusError("in-domain sample is empty")
-    counts: dict[NGram, int] = {}
-    for sent in in_domain:
-        for ngram in iter_ngrams(sent.source_tokens, max_order):
-            counts[ngram] = counts.get(ngram, 0) + 1
-    features = {
-        ngram: FeatureInfo(weight=float(c) if weighting == "freq" else 1.0)
-        for ngram, c in counts.items()
-    }
-    return FeatureSet(max_order=max_order, features=features)
+    index, count = _NgramIndex.intern(in_domain.sentences, max_order)
+    weight = count.astype(np.float64) if weighting == "freq" else np.ones(index.size)
+    return FeatureSet._of(max_order, index, weight, np.zeros(index.size, dtype=np.int64), np.full(index.size, math.nan))
+
+
+def _idf(doc_freq: np.ndarray, n: int) -> np.ndarray:
+    """ln(n / df) per feature, NaN where df is 0: one ``math.log`` per distinct df.
+
+    ``math.log``, not ``np.log``: the two can differ in the last place.
+    """
+    distinct, inverse = np.unique(doc_freq, return_inverse=True)
+    logs = [math.log(n / df) if df > 0 else math.nan for df in distinct.tolist()]
+    return np.array(logs, dtype=np.float64)[inverse]
 
 
 def fit_idf(features: FeatureSet, ground: Corpus) -> FeatureSet:
@@ -261,21 +424,17 @@ def fit_idf(features: FeatureSet, ground: Corpus) -> FeatureSet:
     Returns a new fitted FeatureSet; the input is left untouched. A
     feature occurring in no ground sentence keeps idf = None; one
     occurring in every ground sentence gets idf = 0 and can never
-    contribute relevance.
+    contribute relevance. The fitted set keeps the ground's enumeration
+    until ``relevance_rows`` of ``ground.sentences`` takes it.
     """
     if len(ground) == 0:
         raise EmptyCorpusError("ground corpus is empty")
     index = features._index
-    _, position, _ = index.pairs(ground.sentences)
-    doc_freq = np.bincount(position, minlength=len(features)).tolist()
+    pairs = index.pairs(ground.sentences)
+    doc_freq = np.bincount(pairs[1], minlength=len(features))
     n = len(ground)
-    # math.log, not np.log: the two can differ in the last place
-    fitted = {
-        ngram: FeatureInfo(info.weight, df, math.log(n / df) if df > 0 else None)
-        for (ngram, info), df in zip(features.features.items(), doc_freq)
-    }
-    out = FeatureSet(max_order=features.max_order, features=fitted, ground_size=n)
-    out._index = index  # the same n-grams in the same order
+    out = FeatureSet._of(features.max_order, index, features.weight, doc_freq, _idf(doc_freq, n), n)
+    out._ground = (ground.sentences, pairs)
     return out
 
 
@@ -295,11 +454,9 @@ def featurize(sentence: Sentence, features: FeatureSet) -> FeatureVector:
     _check_fitted(features)
     _, position, count = features._index.pairs([sentence])
     names = features._index.ngrams
-    table = features.features
     entries: dict[NGram, float] = {}
-    for p, c in zip(position.tolist(), count.tolist()):
-        idf = table[names[p]].idf
-        if idf is not None and idf > 0.0:
+    for p, c, idf in zip(position.tolist(), count.tolist(), features.idf[position].tolist()):
+        if idf > 0.0:  # False for NaN, the absent idf
             entries[names[p]] = c * idf
     return FeatureVector(entries)
 
@@ -312,12 +469,12 @@ def relevance_rows(sentences: Sequence[Sentence], features: FeatureSet) -> Relev
     """
     _check_fitted(features)
     index = features._index
-    weight, idf = features._weight_idf()
+    idf = features.idf
     lex = index.lex()
     active = lex[idf[lex] > 0.0]
     col_of = np.full(len(features), -1, dtype=np.int32)
     col_of[active] = np.arange(len(active), dtype=np.int32)
-    row, position, count = index.pairs(sentences)
+    row, position, count = features._pairs(sentences)
     col = col_of[position]
     keep = col >= 0
     row, col, count = row[keep], col[keep], count[keep]
@@ -329,19 +486,14 @@ def relevance_rows(sentences: Sequence[Sentence], features: FeatureSet) -> Relev
         indptr=indptr,
         cols=col,
         vals=count * idf[active][col],
-        names=[index.ngrams[p] for p in active.tolist()],
-        weights=weight[active],
+        names=_Names(index, active),
+        weights=features.weight[active],
     )
 
 
 def count_ngrams(sentences: Sequence[Sentence], max_order: int) -> tuple[int, int]:
     """Distinct n-grams and n-gram occurrences of orders 1..max_order, over all sentences."""
-    tok_id: dict[str, int] = {}
-    flat = chain.from_iterable(s.source_tokens for s in sentences)
-    lens = np.fromiter((len(s.source_tokens) for s in sentences), dtype=np.int64, count=len(sentences))
-    tok = np.fromiter(
-        (tok_id.setdefault(t, len(tok_id)) for t in flat), dtype=np.int64, count=int(lens.sum())
-    )
+    tok_id, tok, lens = _token_stream(sentences)
     types = tokens = 0
     for table, ranks in chain_ranks(tok, depths(lens), max_order, len(tok_id) + 1):
         if not len(table):
@@ -358,42 +510,85 @@ def save_feature_set(features: FeatureSet, path) -> None:
     always serialize byte-identically. idf is not stored; it is
     recomputed from the header's ground size and each record's doc_freq.
     """
-    records = sorted(
-        (" ".join(ngram), info.weight, info.doc_freq)
-        for ngram, info in features.features.items()
-    )
+    joined = features._index.joined()
+    weight, doc_freq = features.weight.tolist(), features.doc_freq.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURESET_MAGIC}\t{FEATURESET_VERSION}\n")
-        fh.write(f"{features.max_order}\t{features.ground_size}\t{len(records)}\n")
-        for joined, weight, doc_freq in records:
-            fh.write(f"{joined}\t{weight!r}\t{doc_freq}\n")
+        fh.write(f"{features.max_order}\t{features.ground_size}\t{len(joined)}\n")
+        fh.writelines(
+            f"{joined[p]}\t{weight[p]!r}\t{doc_freq[p]}\n" for p in sorted(range(len(joined)), key=joined.__getitem__)
+        )
+
+
+def _first(flags) -> int:
+    """Index of the first true flag."""
+    return next(i for i, flag in enumerate(flags) if flag)
+
+
+def _parses(weight: str, doc_freq: str) -> bool:
+    try:
+        float(weight), np.int64(int(doc_freq))
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def load_feature_set(path) -> FeatureSet:
+    """Read a feature-set file, checking every record.
+
+    Records must come in strictly increasing order of the joined n-gram,
+    each of 1 to max_order non-empty tokens, with a finite non-negative
+    weight and an integer doc_freq from 0 to the ground size. A record
+    that breaks a rule is a ``ConfigError`` naming its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ConfigError(f"{path}: empty file, not a feature-set file")
     magic = lines[0].split("\t")
     if len(magic) != 2 or magic[0] != FEATURESET_MAGIC:
         raise ConfigError(f"{path}: not a feature-set file")
-    if int(magic[1]) != FEATURESET_VERSION:
+    if magic[1] != str(FEATURESET_VERSION):
         raise ConfigError(f"{path}: unsupported feature-set version {magic[1]}")
     try:
         max_order, ground_size, count = (int(x) for x in lines[1].split("\t"))
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed feature-set header") from exc
+    if max_order < 1 or ground_size < 0:
+        raise ConfigError(f"{path}: malformed feature-set header")
     body = lines[2:]
     if len(body) != count:
         raise ConfigError(f"{path}: header promises {count} records, found {len(body)}")
-    features: dict[NGram, FeatureInfo] = {}
-    for record in body:
-        try:
-            joined, weight, doc_freq = record.split("\t")
-            ngram = tuple(joined.split(" "))
-            freq = int(doc_freq)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed feature record {record!r}") from exc
-        idf = math.log(ground_size / freq) if ground_size > 0 and freq > 0 else None
-        features[ngram] = FeatureInfo(weight=float(weight), doc_freq=freq, idf=idf)
-    return FeatureSet(max_order=max_order, features=features, ground_size=ground_size)
+
+    def bad(i: int, why: str) -> ConfigError:
+        return ConfigError(f"{path} line {i + 3}: {why}: {body[i]!r}")
+
+    tabs = np.fromiter(map(str.count, body, repeat("\t")), dtype=np.int64, count=len(body))
+    if np.any(tabs != 2):
+        raise bad(int(np.argmax(tabs != 2)), "not three tab-separated fields")
+    fields = "\t".join(body).split("\t")
+    joined, weights, doc_freqs = fields[0::3], fields[1::3], fields[2::3]
+    if not all(map(operator.lt, joined, joined[1:])):
+        raise bad(_first(map(operator.ge, joined, joined[1:])) + 1, "n-gram does not sort after the previous record's")
+    tokens = " ".join(joined).split(" ")
+    lens = np.fromiter(map(str.count, joined, repeat(" ")), dtype=np.int64, count=len(joined)) + 1
+    if lens.max(initial=0) > max_order:
+        raise bad(int(np.argmax(lens > max_order)), f"more than {max_order} tokens")
+    if "" in tokens:
+        raise bad(int(np.searchsorted(np.cumsum(lens), tokens.index(""), side="right")), "empty token")
+    try:
+        weight = np.array(list(map(float, weights)), dtype=np.float64)
+        doc_freq = np.array(list(map(int, doc_freqs)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        parsed = map(_parses, weights, doc_freqs)
+        raise bad(_first(not ok for ok in parsed), "malformed weight or doc_freq") from None
+    ok = np.isfinite(weight) & (weight >= 0.0)
+    if not ok.all():
+        raise bad(int(np.argmin(ok)), "weight not finite and non-negative")
+    ok = (doc_freq >= 0) & (doc_freq <= ground_size)
+    if not ok.all():
+        raise bad(int(np.argmin(ok)), f"doc_freq not an integer from 0 to {ground_size}")
+    index = _NgramIndex.build(tokens, lens, max_order)
+    return FeatureSet._of(max_order, index, weight, doc_freq, _idf(doc_freq, ground_size), ground_size)

@@ -76,10 +76,9 @@ def _relevance_pairs(features: FeatureSet, sentences) -> tuple[np.ndarray, ...]:
     """``_index.pairs`` cut to the features with idf > 0, as (row, feature,
     relevance), plus the uncut positions and every feature's weight."""
     row, position, count = features._index.pairs(sentences)
-    weight, idf = features._weight_idf()
-    active = np.flatnonzero(idf[position] > 0.0)
+    active = np.flatnonzero(features.idf[position] > 0.0)  # not NaN, the absent idf
     feature = position[active]
-    return row[active], feature, count[active] * idf[feature], position, weight
+    return row[active], feature, count[active] * features.idf[feature], position, features.weight
 
 
 def brute_force_optimal(
@@ -132,11 +131,12 @@ class CoverageStats:
 def coverage_report(ground: Corpus, selected_ids: Sequence[int], features: FeatureSet) -> CoverageStats:
     """Coverage of the feature universe and type/token redundancy of a selection.
 
-    A feature is coverable if any ground sentence contains it; it counts
-    as covered when some selected sentence does. The redundancy measures
-    repeated n-gram tokens (orders 1..max_order) inside the selection: a
-    pile of K identical sentences has type/token ratio 1/K, hence
-    redundancy 1 - 1/K.
+    A feature is coverable if any ground sentence contains it (its
+    doc_freq is positive); a coverable feature counts as covered when some
+    selected sentence contains it, so coverage never exceeds 1. The
+    redundancy measures repeated n-gram tokens (orders 1..max_order)
+    inside the selection: a pile of K identical sentences has type/token
+    ratio 1/K, hence redundancy 1 - 1/K.
     """
     sentences = [ground[sid] for sid in selected_ids]
     _, position, _ = features._index.pairs(sentences)
@@ -145,10 +145,11 @@ def coverage_report(ground: Corpus, selected_ids: Sequence[int], features: Featu
 
 def _coverage(features: FeatureSet, sentences, position: np.ndarray) -> CoverageStats:
     """coverage_report from the selection's (row, position) pairs."""
-    coverable = sum(1 for info in features.features.values() if info.doc_freq > 0)
-    covered = int(np.count_nonzero(np.bincount(position, minlength=1)))
+    coverable = features.doc_freq > 0
+    covered = int(np.count_nonzero(coverable & (np.bincount(position, minlength=len(features)) > 0)))
+    n_coverable = int(np.count_nonzero(coverable))
     types, tokens = count_ngrams(sentences, features.max_order)
-    coverage = (covered / coverable) if coverable else 0.0
+    coverage = (covered / n_coverable) if n_coverable else 0.0
     ttr = (types / tokens) if tokens else 0.0
     redundancy = 1.0 - ttr if tokens else 0.0
     return CoverageStats(coverage, redundancy, ttr, types, tokens)

@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import heapq
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,7 +116,7 @@ class SelectionState:
     """Result of a selection run: picks in order plus audit trail."""
 
     selected: list[int] = field(default_factory=list)
-    mass: dict = field(default_factory=dict)
+    mass: Mapping = field(default_factory=dict)  # feature -> accumulated relevance
     spent: int = 0
     objective: float = 0.0
     trajectory: list[SelectionStep] = field(default_factory=list)
@@ -158,7 +160,7 @@ class _Problem:
         self.lengths = lengths = np.diff(rows.indptr)
         self.widths = np.where(lengths <= _PAIRWISE_BLOCK, np.minimum(lengths | 7, _PAIRWISE_BLOCK), lengths)
         self.starts = np.cumsum(self.widths) - self.widths
-        self.n_features = len(rows.names)
+        self.n_features = len(rows.weights)
         slots = np.repeat(self.starts - rows.indptr[:-1], lengths)
         slots += np.arange(len(slots))
         self.cols = np.full(int(self.widths.sum()), self.n_features, dtype=np.int32)
@@ -300,7 +302,8 @@ def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave
 def _weight_of(features: FeatureSet | None) -> Callable:
     if features is None:
         return lambda key: 1.0
-    return lambda key: features.features[key].weight
+    position_of = features._index.position_of
+    return lambda key: float(features.weight[position_of[key]])
 
 
 def evaluate(selection, features: FeatureSet | None = None, concave: ConcaveSpec = DEFAULT_CONCAVE) -> float:
@@ -335,10 +338,31 @@ def marginal_gain(
 # greedy selection
 
 
+class _Mass(Mapping):
+    """A finished run's positive masses keyed by column name, decoded on first read."""
+
+    def __init__(self, names: Sequence, cols: np.ndarray, values: np.ndarray):
+        self._names = names
+        self._cols = cols
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    @cached_property
+    def _decoded(self) -> dict:
+        return dict(zip(map(self._names.__getitem__, self._cols.tolist()), self._values.tolist()))
+
+    def __getitem__(self, key) -> float:
+        return self._decoded[key]
+
+    def __iter__(self):
+        return iter(self._decoded)
+
+
 def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) -> SelectionState:
-    state.mass = {
-        problem.col_names[i]: float(mass[i]) for i in np.flatnonzero(mass > 0.0)
-    }
+    cols = np.flatnonzero(mass > 0.0)
+    state.mass = _Mass(problem.col_names, cols, mass[cols])
     return state
 
 

@@ -399,6 +399,42 @@ class TestReportCommand:
         assert not (tmp_path / "rep" / "report.txt").exists()
 
 
+    @pytest.mark.parametrize("record", ["a\t1.0\t-1", "a\tnan\t1", "a b c\t1.0\t1"])
+    def test_bad_feature_record_exits_2(self, tmp_path, capsys, record):
+        ground = write(tmp_path / "ground.src", "a b\nb c\n")
+        feats = write(tmp_path / "features.tsv", f"subselect-featureset\t1\n2\t2\t2\n{record}\nb\t1.0\t1\n")
+        sel = write(tmp_path / "sel.tsv", "1\t0\t1.0\t2\n")
+        rc = main([
+            "report", "--features", feats, "--ground-src", ground,
+            "--selection", sel, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert f"{feats} line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "report.txt").exists()
+
+    def test_repeated_feature_record_exits_2(self, tmp_path, capsys):
+        ground = write(tmp_path / "ground.src", "a b\nb c\n")
+        feats = write(tmp_path / "features.tsv", "subselect-featureset\t1\n2\t2\t2\na\t1.0\t1\na\t1.0\t1\n")
+        sel = write(tmp_path / "sel.tsv", "1\t0\t1.0\t2\n")
+        rc = main([
+            "report", "--features", feats, "--ground-src", ground,
+            "--selection", sel, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert f"{feats} line 4:" in capsys.readouterr().err
+
+    def test_coverage_counts_only_coverable_features(self, tmp_path):
+        # the file says no pool sentence holds "a", so "a" is not coverable,
+        # and covering it must not push coverage past 1
+        ground = write(tmp_path / "ground.src", "a b\nb c\n")
+        feats = write(tmp_path / "features.tsv", "subselect-featureset\t1\n1\t2\t2\na\t1.0\t0\nb\t1.0\t2\n")
+        sel = write(tmp_path / "sel.tsv", "1\t0\t1.0\t2\n")
+        assert main([
+            "report", "--features", feats, "--ground-src", ground,
+            "--selection", sel, "--out-dir", str(tmp_path / "rep"),
+        ]) == 0
+        assert "sel.coverage=1.0" in (tmp_path / "rep" / "report.txt").read_text().splitlines()
+
     def test_selections_with_one_name_exit_2(self, corpora, tmp_path, capsys):
         tmp, ground, in_domain = corpora
         feats = tmp / "features.tsv"

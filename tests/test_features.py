@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from subselect.cli import main
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, EmptyCorpusError, StateError
 from subselect.features import (
@@ -11,11 +12,13 @@ from subselect.features import (
     extract_feature_set,
     featurize,
     fit_idf,
-    iter_ngrams,
     load_feature_set,
     save_feature_set,
 )
 
+from features_reference import iter_ngrams
+from subselect.oracle import build_report
+from subselect.submodular import DEFAULT_CONCAVE, greedy_select
 from support import make_corpus
 
 
@@ -211,3 +214,85 @@ class TestSerialization:
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_feature_set(path)
+
+
+def feature_file(tmp_path, records, max_order=2, ground_size=2):
+    path = tmp_path / "features.tsv"
+    header = f"subselect-featureset\t1\n{max_order}\t{ground_size}\t{len(records)}\n"
+    path.write_text(header + "".join(record + "\n" for record in records), encoding="utf-8")
+    return path
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("records, bad_line", [
+        (["a\t1.0\t1", "a\t2.0\t1"], 4),  # would overwrite the first
+        (["b\t1.0\t1", "a\t1.0\t1"], 4),
+        (["a b\t1.0\t1", "a\t1.0\t1"], 4),  # "a" sorts before "a b"
+        (["a\t1.0\t-1"], 3),
+        (["a\t1.0\t3"], 3),  # the ground has 2 sentences
+        (["a\t1.0\t1.5"], 3),
+        (["a\tnan\t1"], 3),
+        (["a\tinf\t1"], 3),
+        (["a\t-1.0\t1"], 3),
+        (["a\tone\t1"], 3),
+        (["a\t1.0\t1", "a  b\t1.0\t1"], 4),  # an empty token
+        (["\t1.0\t1"], 3),
+        (["a b c\t1.0\t1"], 3),  # above max order 2
+        (["a\t1.0"], 3),
+        (["a\t1.0\t1\t1"], 3),
+    ], ids=[
+        "repeated", "unsorted", "prefix-after", "negative-df", "df-above-ground", "fractional-df",
+        "nan-weight", "inf-weight", "negative-weight", "malformed-weight", "empty-token", "empty-ngram",
+        "too-long", "two-fields", "four-fields",
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, records, bad_line):
+        path = feature_file(tmp_path, records)
+        with pytest.raises(ConfigError, match=f"line {bad_line}:"):
+            load_feature_set(path)
+
+    def test_good_records_load(self, tmp_path):
+        # "a\x01" sorts before "a b": the file orders joined strings
+        path = feature_file(tmp_path, ["a\t0.0\t0", "a\x01\t1.0\t1", "a b\t2.5\t2"])
+        loaded = load_feature_set(path)
+        assert dict(loaded.features) == {
+            ("a",): FeatureInfo(0.0, 0, None),
+            ("a", "b"): FeatureInfo(2.5, 2, 0.0),
+            ("a\x01",): FeatureInfo(1.0, 1, math.log(2)),
+        }
+        assert list(loaded.features) == [("a",), ("a\x01",), ("a", "b")]  # set order is file order
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = feature_file(tmp_path, ["a\t1.0\t1"], max_order=0)
+        with pytest.raises(ConfigError, match="header"):
+            load_feature_set(path)
+
+
+class TestColumnar:
+    def test_select_builds_no_feature_info(self, tmp_path, monkeypatch):
+        ground = tmp_path / "ground.src"
+        ground.write_text("a b c\na b\nc d a\nb b\nd\n", encoding="utf-8")
+        ind = tmp_path / "indomain.src"
+        ind.write_text("a b c d\nb a\n", encoding="utf-8")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("select built a FeatureInfo")
+
+        monkeypatch.setattr(FeatureInfo, "__init__", refuse)
+        assert main([
+            "select", "--method", "both", "--in-domain-src", str(ind), "--ground-src", str(ground),
+            "--budget-words", "6", "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+
+    def test_select_path_decodes_no_ngrams(self):
+        # fitting, the greedy and the report work on the arrays alone: no
+        # n-gram tuple is decoded and the greedy's mass stays encoded
+        rng = random.Random(11)
+        ground = make_corpus(rng, 30)
+        features = fit_idf(extract_feature_set(make_corpus(rng, 5), 3), ground)
+        state = greedy_select(ground, features, budget=20)
+        build_report(ground, features, DEFAULT_CONCAVE, [("submod", state.selected)], 20, "words")
+        assert features._ground is None  # the greedy took fit_idf's enumeration
+        assert "ngrams" not in vars(features._index)
+        assert "_decoded" not in vars(state.mass)
+        assert len(state.mass) > 0
+        assert all(value > 0.0 and key in features for key, value in state.mass.items())

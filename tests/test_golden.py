@@ -185,3 +185,44 @@ def test_staged_lm_files_match_pinned_digests(tmp_path, smoothing):
     ]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (lm_in, lm_out, scores)}
     assert digests == LM_GOLDEN[smoothing]
+
+
+# `extract-features` under each weighting, then `report` on that feature
+# file with the two selections `select --method both` made from the
+# 150-sentence pool above: the feature file and the report files. Recorded
+# from an earlier implementation.
+STAGED_FEATURES_GOLDEN = {
+    "uniform": {
+        "features.tsv": "65004ee86f6c9c722e3935367bf796bd6f98733c8877b25c1881768280266a36",
+        "report.txt": "5d31e007e893ba61001f64dcc3279164e9859d18b9f3072760897d54988148a2",
+        "report.csv": "9c8fed187febc54de62e7d6114b80ef188ed045d828b946d5ed548a265d1ce99",
+    },
+    "freq": {
+        "features.tsv": "fa1e06105058f5de3fcde5751a59de887cb3a25e39c2880d40d7a85b90c027f0",
+        "report.txt": "dfbacee3d6c21e4b3f35cb6b907a66d63832ab8be9f55d9e3246e6314fcc90bf",
+        "report.csv": "de2e1e8bdd7b3c5d6b0a40fb4803ae5b7bc62142dbff38814b8db0327067ebe2",
+    },
+}
+
+
+@pytest.mark.parametrize("weighting", sorted(STAGED_FEATURES_GOLDEN))
+def test_staged_feature_file_and_report_match_pinned_digests(tmp_path, weighting):
+    ground, ind = write_inputs(tmp_path, 150)
+    sel_dir, out_dir = tmp_path / "select", tmp_path / "out"
+    features = tmp_path / "features.tsv"
+    assert main([
+        "select", "--method", "both", "--in-domain-src", str(ind),
+        "--ground-src", str(ground), "--budget-words", "300", "--out-dir", str(sel_dir),
+    ]) == 0
+    assert main([
+        "extract-features", "--in-domain-src", str(ind), "--ground-src", str(ground),
+        "--feature-weights", weighting, "--out", str(features),
+    ]) == 0
+    assert main([
+        "report", "--features", str(features), "--ground-src", str(ground),
+        "--selection", str(sel_dir / "submod.selection.tsv"),
+        "--selection", str(sel_dir / "xent.selection.tsv"), "--out-dir", str(out_dir),
+    ]) == 0
+    paths = (features, out_dir / "report.txt", out_dir / "report.csv")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == STAGED_FEATURES_GOLDEN[weighting]

@@ -21,7 +21,6 @@ from subselect.features import (
     extract_feature_set,
     featurize,
     fit_idf,
-    iter_ngrams,
     load_feature_set,
     relevance_rows,
     save_feature_set,
@@ -29,6 +28,7 @@ from subselect.features import (
 from subselect.oracle import coverage_report, method_metrics
 from subselect.submodular import evaluate
 
+from features_reference import iter_ngrams
 from support import CURVES, make_corpus
 
 TOKENS = ["a", "b", "c", "d"]
