@@ -274,6 +274,7 @@ def cmd_extract_features(args) -> int:
     in_domain = load_corpus(args.in_domain_src, None, args.tokenizer)
     ground = load_corpus(args.ground_src, None, args.tokenizer)
     features = fit_idf(extract_feature_set(in_domain, args.max_order, args.feature_weights), ground)
+    features.release_ground()  # nothing here reads the ground's enumeration again
     save_feature_set(features, args.out)
     logger.info("wrote %d features (max order %d) to %s", len(features), features.max_order, args.out)
     return 0

@@ -13,6 +13,8 @@ batch of sentences are found one order at a time with
 matrix, single feature vectors and the report's coverage all come from
 that one enumeration, and a fitted set keeps the ground's enumeration
 for the greedy's relevance matrix, so ``select`` walks the pool once.
+Sentences come in as a corpus's ``TokenStream``; the index maps its ids
+to its own through one lookup per distinct token.
 N-gram tuples and ``FeatureInfo`` objects are built only when a caller
 reads ``features`` or a feature vector.
 """
@@ -24,12 +26,12 @@ import operator
 from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError, StateError
 from .ngramkeys import chain_ranks, depths
 
@@ -69,10 +71,9 @@ class FeatureSet:
 
     def __init__(self, max_order: int, features: Mapping[NGram, FeatureInfo], ground_size: int = 0):
         infos = list(features.values())
-        lens = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
         self._init(
             max_order,
-            _NgramIndex.build(list(chain.from_iterable(features)), lens, max_order),
+            _NgramIndex.build(TokenStream.of(features), max_order),
             np.array([info.weight for info in infos], dtype=np.float64),
             np.array([info.doc_freq for info in infos], dtype=np.int64),
             np.array([math.nan if info.idf is None else info.idf for info in infos], dtype=np.float64),
@@ -87,7 +88,7 @@ class FeatureSet:
         self.idf = idf
         self.ground_size = ground_size  # number of ground sentences fitted against; 0 = unfitted
         # the ground's (row, position, count) pairs, kept by fit_idf for one relevance_rows call
-        self._ground: tuple[Sequence[Sentence], tuple[np.ndarray, ...]] | None = None
+        self._ground: tuple[Corpus, tuple[np.ndarray, ...]] | None = None
 
     @classmethod
     def _of(cls, max_order, index, weight, doc_freq, idf, ground_size=0) -> FeatureSet:
@@ -118,12 +119,18 @@ class FeatureSet:
         """Each feature's statistics under its n-gram tuple, in set order."""
         return _Features(self)
 
-    def _pairs(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_index.pairs(sentences)``, taken from ``fit_idf`` when it enumerated these very sentences."""
-        if self._ground is not None and self._ground[0] is sentences:
-            pairs = self._ground[1]
-            self._ground = None  # used once: the greedy need not hold them
-            return pairs
+    def release_ground(self) -> None:
+        """Drop the ground's enumeration that ``fit_idf`` kept for ``relevance_rows``."""
+        self._ground = None
+
+    def _pairs(self, sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_index.pairs(sentences)``, taken from ``fit_idf`` when it enumerated this very
+        corpus (or its ``sentences``)."""
+        if self._ground is not None:
+            ground, pairs = self._ground
+            if sentences is ground or sentences is ground._sentences:
+                self._ground = None  # used once: the greedy need not hold them
+                return pairs
         return self._index.pairs(sentences)
 
 
@@ -157,23 +164,16 @@ class _Infos(ValuesView):
         return map(FeatureInfo, fs.weight.tolist(), fs.doc_freq.tolist(), idf)
 
 
-def _token_ids(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Ids for the distinct tokens in string order, and the tokens as ids."""
-    tok_id = {tok: i for i, tok in enumerate(sorted(set(tokens)))}
-    return tok_id, np.fromiter(map(tok_id.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-
-
-def _token_stream(sentences: Sequence[Sentence]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """The sentences' tokens laid end to end as ids in string order, and each sentence's length."""
-    tok_id, tok = _token_ids(list(chain.from_iterable(s.source_tokens for s in sentences)))
-    return tok_id, tok, np.fromiter((len(s.source_tokens) for s in sentences), dtype=np.int64, count=len(sentences))
+def _ids_of(vocab: Sequence[str]) -> dict[str, int]:
+    return dict(zip(vocab, range(len(vocab))))
 
 
 @dataclass(frozen=True)
 class _NgramIndex:
     """A feature universe as chained integer keys: a prefix tree in sorted arrays.
 
-    Token ids follow string order, so siblings sort as their n-grams do.
+    Token ids are those of the stream the index was built from, in string
+    order, so siblings sort as their n-grams do.
     Order k's table holds the keys of the universe's k-grams and of the
     k-token prefixes of longer features, so the chain is complete even
     for a universe that is not prefix-closed. ``position`` maps each
@@ -188,9 +188,10 @@ class _NgramIndex:
     size: int  # features, at positions 0..size-1
 
     @classmethod
-    def build(cls, tokens: list[str], lens: np.ndarray, max_order: int) -> _NgramIndex:
-        """The index of n-grams laid end to end in ``tokens``, ``lens`` tokens each, in this set order."""
-        tok_id, flat = _token_ids(tokens)
+    def build(cls, ngrams: TokenStream, max_order: int) -> _NgramIndex:
+        """The index of the n-grams in a stream, one a sentence, in this set order."""
+        tok_id = _ids_of(ngrams.vocab)
+        flat, lens = ngrams.ids, ngrams.lens
         base = len(tok_id) + 1
         starts = np.cumsum(lens) - lens
         prefix = np.zeros(len(lens), dtype=np.int64)
@@ -208,7 +209,7 @@ class _NgramIndex:
         return cls(tok_id, max_order, tables, position, len(lens))
 
     @classmethod
-    def intern(cls, sentences: Sequence[Sentence], max_order: int) -> tuple[_NgramIndex, np.ndarray]:
+    def intern(cls, stream: TokenStream, max_order: int) -> tuple[_NgramIndex, np.ndarray]:
         """Every n-gram of orders 1..max_order in these sentences, with its occurrence count.
 
         Set order is the order in which a scan reaches each n-gram first:
@@ -216,10 +217,10 @@ class _NgramIndex:
         to right. The universe is prefix-closed, so every table entry is
         a feature.
         """
-        tok_id, tok, lens = _token_stream(sentences)
+        tok, lens = stream.ids, stream.lens
         depth = depths(lens)
         tables, counts, firsts = [], [], []
-        for table, ranks in chain_ranks(tok, depth, max_order, len(tok_id) + 1):
+        for table, ranks in chain_ranks(tok, depth, max_order, len(stream.vocab) + 1):
             if not len(table):
                 break  # no k-gram, so no longer one either
             at = np.flatnonzero(ranks >= 0)
@@ -231,14 +232,14 @@ class _NgramIndex:
         sizes = [len(table) for table in tables]
         first = np.concatenate([np.empty(0, dtype=np.int64), *firsts])
         order = np.repeat(np.arange(1, len(tables) + 1), sizes)
-        sentence = np.repeat(np.arange(len(sentences)), lens)
+        sentence = np.repeat(np.arange(len(lens)), lens)
         rank_in_set = np.empty(len(first), dtype=np.int32)
         # by sentence, then order, then start (the end's depth ranks starts of one order alike)
         rank_in_set[np.lexsort((depth[first], order, sentence[first]))] = np.arange(len(first), dtype=np.int32)
         position = np.split(rank_in_set, np.cumsum(sizes)[:-1]) if tables else []
         count = np.empty(len(first), dtype=np.int64)
         count[rank_in_set] = np.concatenate([np.empty(0, dtype=np.int64), *counts])
-        return cls(tok_id, max_order, tables, position, len(first)), count
+        return cls(_ids_of(stream.vocab), max_order, tables, position, len(first)), count
 
     def _spell(self, extend) -> list:
         """Every feature's n-gram, built by ``extend(prefix, token)`` down the prefix tree
@@ -291,28 +292,31 @@ class _NgramIndex:
             positions.append(pos[pos >= 0])
         return np.concatenate(positions)[np.argsort(np.concatenate(places))]
 
-    def pairs(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self, sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every distinct feature of every sentence, with its occurrence count.
 
-        Returns aligned int32 ``(row, position, count)`` arrays: rows in
-        input order and, within a row, features in the order a scan
-        reaches them first, order by order and left to right. Sentences
-        are enumerated a chunk at a time, so the temporary arrays stay
-        small on any corpus.
+        ``sentences`` is a corpus, a ``TokenStream`` or a sequence of
+        sentences. Returns aligned int32 ``(row, position, count)``
+        arrays: rows in input order and, within a row, features in the
+        order a scan reaches them first, order by order and left to
+        right. Sentences are enumerated a chunk at a time, so the
+        temporary arrays stay small on any corpus.
         """
+        stream = as_stream(sentences)
+        tok = stream.lookup(self.tok_id, len(self.tok_id))
+        edges = np.concatenate([[0], np.cumsum(stream.lens)])
         parts = [(np.empty(0, dtype=np.int32),) * 3]
-        for start in range(0, len(sentences), _CHUNK):
-            row, position, count = self._chunk_pairs(sentences[start : start + _CHUNK])
+        for start in range(0, len(stream), _CHUNK):
+            stop = min(start + _CHUNK, len(stream))
+            row, position, count = self._chunk_pairs(tok[edges[start] : edges[stop]], stream.lens[start:stop])
             parts.append((row + start, position, count))
         row, position, count = zip(*parts)
         return np.concatenate(row), np.concatenate(position), np.concatenate(count)
 
-    def _chunk_pairs(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lens = np.fromiter((len(s.source_tokens) for s in sentences), dtype=np.int64, count=len(sentences))
-        tokens = list(chain.from_iterable(s.source_tokens for s in sentences))
+    def _chunk_pairs(self, tok: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``pairs`` of sentences whose index token ids come end to end in ``tok``."""
         unknown = len(self.tok_id)
-        tok = np.fromiter(map(self.tok_id.get, tokens, repeat(unknown)), dtype=np.int64, count=len(tokens))
-        row_of = np.repeat(np.arange(len(sentences), dtype=np.int32), lens)
+        row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
         rows = [np.empty(0, dtype=np.int32)]
         found = [np.empty(0, dtype=np.int32)]
         # order-major within a sentence, as the first-reached order is
@@ -403,7 +407,7 @@ def extract_feature_set(
         )
     if len(in_domain) == 0:
         raise EmptyCorpusError("in-domain sample is empty")
-    index, count = _NgramIndex.intern(in_domain.sentences, max_order)
+    index, count = _NgramIndex.intern(as_stream(in_domain), max_order)
     weight = count.astype(np.float64) if weighting == "freq" else np.ones(index.size)
     return FeatureSet._of(max_order, index, weight, np.zeros(index.size, dtype=np.int64), np.full(index.size, math.nan))
 
@@ -425,16 +429,17 @@ def fit_idf(features: FeatureSet, ground: Corpus) -> FeatureSet:
     feature occurring in no ground sentence keeps idf = None; one
     occurring in every ground sentence gets idf = 0 and can never
     contribute relevance. The fitted set keeps the ground's enumeration
-    until ``relevance_rows`` of ``ground.sentences`` takes it.
+    until ``relevance_rows`` of ``ground`` takes it or ``release_ground``
+    drops it.
     """
     if len(ground) == 0:
         raise EmptyCorpusError("ground corpus is empty")
     index = features._index
-    pairs = index.pairs(ground.sentences)
+    pairs = index.pairs(ground)
     doc_freq = np.bincount(pairs[1], minlength=len(features))
     n = len(ground)
     out = FeatureSet._of(features.max_order, index, features.weight, doc_freq, _idf(doc_freq, n), n)
-    out._ground = (ground.sentences, pairs)
+    out._ground = (ground, pairs)
     return out
 
 
@@ -461,8 +466,8 @@ def featurize(sentence: Sentence, features: FeatureSet) -> FeatureVector:
     return FeatureVector(entries)
 
 
-def relevance_rows(sentences: Sequence[Sentence], features: FeatureSet) -> RelevanceRows:
-    """The relevance vectors of many sentences at once, as one CSR matrix.
+def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
+    """The relevance vectors of a corpus's (or any) sentences at once, as one CSR matrix.
 
     Columns are the features with idf > 0 in sorted n-gram order; row i
     holds the same scores as ``featurize(sentences[i], features)``.
@@ -491,11 +496,11 @@ def relevance_rows(sentences: Sequence[Sentence], features: FeatureSet) -> Relev
     )
 
 
-def count_ngrams(sentences: Sequence[Sentence], max_order: int) -> tuple[int, int]:
+def count_ngrams(sentences, max_order: int) -> tuple[int, int]:
     """Distinct n-grams and n-gram occurrences of orders 1..max_order, over all sentences."""
-    tok_id, tok, lens = _token_stream(sentences)
+    stream = as_stream(sentences)
     types = tokens = 0
-    for table, ranks in chain_ranks(tok, depths(lens), max_order, len(tok_id) + 1):
+    for table, ranks in chain_ranks(stream.ids, depths(stream.lens), max_order, len(stream.vocab) + 1):
         if not len(table):
             break
         types += len(table)
@@ -590,5 +595,5 @@ def load_feature_set(path) -> FeatureSet:
     ok = (doc_freq >= 0) & (doc_freq <= ground_size)
     if not ok.all():
         raise bad(int(np.argmin(ok)), f"doc_freq not an integer from 0 to {ground_size}")
-    index = _NgramIndex.build(tokens, lens, max_order)
+    index = _NgramIndex.build(TokenStream.intern(tokens, lens), max_order)
     return FeatureSet._of(max_order, index, weight, doc_freq, _idf(doc_freq, ground_size), ground_size)

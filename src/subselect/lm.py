@@ -10,8 +10,9 @@ to one (exactly for MLE on seen histories, within rounding otherwise).
 A model's state is one table per order under sorted int64 keys (the
 sorted-array layout of Heafield's KenLM; see ``ngramkeys``). Token ids
 follow string order: the sorted vocabulary, then the end, unknown and
-start markers. Training maps the corpus to ids once and counts each
-order's windows with ``np.unique``. ``save_lm`` writes the v1 JSON file
+start markers. Training maps the corpus's token ids to the model's
+through one lookup per distinct token and counts each order's windows
+with ``np.unique``. ``save_lm`` writes the v1 JSON file
 from the tables, and ``load_lm`` reads it straight back into tables. It
 checks the file as it loads: counts, orders, tokens and histories.
 Sentences are scored in batches against the tables, one order at a time.
@@ -24,16 +25,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError
 from .ngramkeys import depths, rank
 
@@ -74,9 +74,9 @@ def _token_ids(vocab) -> dict[str, int]:
 
 
 def _padded(
-    sentences: Iterable[Sentence | Sequence[str]], ids: dict[str, int], order: int, markers: bool
+    stream: TokenStream, ids: dict[str, int], order: int, markers: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The id sequences sentences are counted and scored over, concatenated.
+    """The id sequences a stream's sentences are counted and scored over, concatenated.
 
     Tokens outside the vocabulary become the unknown marker; literal
     marker strings in running text are out-of-vocabulary too. With
@@ -86,11 +86,8 @@ def _padded(
     it in its sequence) and the depth of every sentence's first event.
     """
     eos, unk, bos = len(ids) - 3, len(ids) - 2, len(ids) - 1
-    texts = [x.source_tokens if isinstance(x, Sentence) else x for x in sentences]
-    n_words = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    words = np.fromiter(
-        map(ids.get, chain.from_iterable(texts), repeat(unk)), dtype=np.int64, count=int(n_words.sum())
-    )
+    n_words = stream.lens
+    words = stream.lookup(ids, unk)
     words[words >= eos] = unk  # marker strings in running text
     first = order - 1 if markers else 0
     lens = n_words + (first + 1 if markers else 0)
@@ -332,17 +329,16 @@ def _train(
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
     ids = _token_ids(vocab - {BOS, EOS, UNK})
-    tok, _, depth, first = _padded(corpus, ids, order, markers)
+    tok, _, depth, first = _padded(corpus.source, ids, order, markers)
     tables = _count(tok, depth, first, order, len(ids))
     return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
 
 def corpus_vocab(corpus: Corpus, unk_floor: int = 1) -> set[str]:
     """Source-side tokens meeting the frequency floor."""
-    freq: Counter[str] = Counter()
-    for sent in corpus:
-        freq.update(sent.source_tokens)
-    return {tok for tok, c in freq.items() if c >= unk_floor}
+    stream = corpus.source
+    freq = np.bincount(stream.ids, minlength=len(stream.vocab))
+    return set(map(stream.vocab.__getitem__, np.flatnonzero((freq >= unk_floor) & (freq > 0)).tolist()))
 
 
 def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[str]]) -> list[float]:
@@ -357,7 +353,7 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
     result is the left-to-right sum of ``math.log`` of those
     probabilities, so it equals the scalar definition exactly.
     """
-    return _log_probs(lm, _padded(sentences, lm.ids, lm.order, lm.markers))
+    return _log_probs(lm, _padded(as_stream(sentences), lm.ids, lm.order, lm.markers))
 
 
 def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> list[float]:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
 from .features import FeatureSet, FeatureVector, count_ngrams
 from .submodular import DEFAULT_CONCAVE, ConcaveSpec, objective, reference_gain
@@ -93,7 +93,7 @@ def brute_force_optimal(
     sentences."""
     _check_size(len(ground))
     costs = _corpus_costs(ground, features, cost_mode)
-    row, feature, relevance, _, weight = _relevance_pairs(features, ground.sentences)
+    row, feature, relevance, _, weight = _relevance_pairs(features, ground)
     vectors: list[dict] = [{} for _ in ground]
     for r, u, val in zip(row.tolist(), feature.tolist(), relevance.tolist()):
         vectors[r][u] = val
@@ -138,17 +138,17 @@ def coverage_report(ground: Corpus, selected_ids: Sequence[int], features: Featu
     inside the selection: a pile of K identical sentences has type/token
     ratio 1/K, hence redundancy 1 - 1/K.
     """
-    sentences = [ground[sid] for sid in selected_ids]
-    _, position, _ = features._index.pairs(sentences)
-    return _coverage(features, sentences, position)
+    selection = ground.source.take(selected_ids)
+    _, position, _ = features._index.pairs(selection)
+    return _coverage(features, selection, position)
 
 
-def _coverage(features: FeatureSet, sentences, position: np.ndarray) -> CoverageStats:
+def _coverage(features: FeatureSet, selection: TokenStream, position: np.ndarray) -> CoverageStats:
     """coverage_report from the selection's (row, position) pairs."""
     coverable = features.doc_freq > 0
     covered = int(np.count_nonzero(coverable & (np.bincount(position, minlength=len(features)) > 0)))
     n_coverable = int(np.count_nonzero(coverable))
-    types, tokens = count_ngrams(sentences, features.max_order)
+    types, tokens = count_ngrams(selection, features.max_order)
     coverage = (covered / n_coverable) if n_coverable else 0.0
     ttr = (types / tokens) if tokens else 0.0
     redundancy = 1.0 - ttr if tokens else 0.0
@@ -243,11 +243,11 @@ def method_metrics(
     The objective is ``objective`` over the selection's feature vectors
     in selection order, so it equals ``evaluate`` bit for bit.
     """
-    sentences = [ground[sid] for sid in selected_ids]
-    _, feature, relevance, position, weight = _relevance_pairs(features, sentences)
+    selection = ground.source.take(selected_ids)
+    _, feature, relevance, position, weight = _relevance_pairs(features, selection)
     value = objective(zip(feature.tolist(), relevance.tolist()), weight.tolist().__getitem__, concave)
-    spent = sum(sent.cost if cost_mode == "words" else 1 for sent in sentences)
-    stats = _coverage(features, sentences, position)
+    spent = int(selection.lens.sum()) if cost_mode == "words" else len(selection)
+    stats = _coverage(features, selection, position)
     return MethodMetrics(
         method, value, spent, len(selected_ids), stats.coverage, stats.redundancy, stats.type_token_ratio
     )

@@ -29,13 +29,12 @@ def write_selection_tsv(path, state: SelectionState) -> None:
 
 def write_selected_corpus(ground: Corpus, selected_ids: Sequence[int], src_path, tgt_path=None) -> None:
     """Re-emit the chosen sentences, in selection order, as aligned files."""
-    with _open_w(src_path) as fh:
-        for sid in selected_ids:
-            fh.write(" ".join(ground[sid].source_tokens) + "\n")
+    sides = [(src_path, ground.source)]
     if tgt_path is not None:
-        with _open_w(tgt_path) as fh:
-            for sid in selected_ids:
-                fh.write(" ".join(ground[sid].target_tokens) + "\n")
+        sides.append((tgt_path, ground.target))
+    for path, stream in sides:
+        with _open_w(path) as fh:
+            fh.writelines(" ".join(tokens) + "\n" for tokens in stream.take(selected_ids).texts())
 
 
 def write_summary(path, state: SelectionState, method: str) -> None:

@@ -258,7 +258,7 @@ def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[
         )
     if cost_mode not in COST_MODES:
         raise ConfigError(f"unknown cost mode {cost_mode!r}; expected one of: {', '.join(COST_MODES)}")
-    return [sent.cost if cost_mode == "words" else 1 for sent in ground]
+    return ground.source.lens.tolist() if cost_mode == "words" else [1] * len(ground)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +519,7 @@ def greedy_select(
     least 1) but runs nothing in parallel: every variant is single-threaded.
     """
     costs = _corpus_costs(ground, features, cost_mode)
-    problem = _Problem(relevance_rows(ground.sentences, features), costs)
+    problem = _Problem(relevance_rows(ground, features), costs)
     return _run_greedy(problem, concave, budget, cost_mode, variant, threads)
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, TokenStream, as_stream
 from .errors import ConfigError
 from .lm import NgramLanguageModel, _log_probs, _padded, _train, corpus_vocab
 from .submodular import SelectionState, SelectionStep
@@ -40,20 +40,22 @@ def _check_pair(lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> None:
 
 
 def _score(
-    sentences: Sequence[Sentence], lm_in: NgramLanguageModel, lm_out: NgramLanguageModel
+    stream: TokenStream, ids: Sequence[int], lm_in: NgramLanguageModel, lm_out: NgramLanguageModel
 ) -> list[ScoredSentence]:
+    """Scores of a stream's sentences, which carry these sentence ids."""
     _check_pair(lm_in, lm_out)
     # orders and markers agree, so a pair over one vocabulary, as trained
     # pairs are, scores one id stream
-    padded_in = _padded(sentences, lm_in.ids, lm_in.order, lm_in.markers)
-    padded_out = padded_in if lm_out.ids == lm_in.ids else _padded(sentences, lm_out.ids, lm_out.order, lm_out.markers)
+    padded_in = _padded(stream, lm_in.ids, lm_in.order, lm_in.markers)
+    padded_out = padded_in if lm_out.ids == lm_in.ids else _padded(stream, lm_out.ids, lm_out.order, lm_out.markers)
     scored = []
-    for sent, lp_in, lp_out in zip(sentences, _log_probs(lm_in, padded_in), _log_probs(lm_out, padded_out)):
+    lp_ins, lp_outs = _log_probs(lm_in, padded_in), _log_probs(lm_out, padded_out)
+    for sid, cost, lp_in, lp_out in zip(ids, stream.lens.tolist(), lp_ins, lp_outs):
         diff = lp_in - lp_out
         if math.isnan(diff):
-            scored.append(ScoredSentence(sent.id, float("nan"), sent.cost, defined=False))
+            scored.append(ScoredSentence(sid, float("nan"), cost, defined=False))
         else:
-            scored.append(ScoredSentence(sent.id, diff / sent.cost, sent.cost))
+            scored.append(ScoredSentence(sid, diff / cost, cost))
     return scored
 
 
@@ -63,12 +65,12 @@ def xent_score(sentence, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) 
     If both models assign zero probability the difference is undefined;
     the sentence is flagged and will rank after every defined one.
     """
-    return _score([sentence], lm_in, lm_out)[0]
+    return _score(as_stream([sentence]), [sentence.id], lm_in, lm_out)[0]
 
 
 def score_corpus(ground: Corpus, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> list[ScoredSentence]:
     """Score every ground sentence, in id order, in one batch per model."""
-    return _score(ground.sentences, lm_in, lm_out)
+    return _score(ground.source, range(len(ground)), lm_in, lm_out)
 
 
 def train_domain_pair(
@@ -117,6 +119,7 @@ def rank_and_select(
         raise ConfigError(f"word budget must be positive, got {budget_words}")
 
     ranked = sorted(scores, key=_rank_key)
+    costs = ground.source.lens.tolist()
     state = SelectionState(
         budget=float(budget_words if budget_words is not None else n),
         cost_mode="words" if budget_words is not None else "unit",
@@ -128,7 +131,7 @@ def rank_and_select(
                 break
             step_cost = 1
         else:
-            step_cost = ground[scored.id].cost
+            step_cost = costs[scored.id]
             if state.spent + step_cost > budget_words:
                 break
         state.spent += step_cost

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from subselect import cli
 from subselect.cli import main
-from subselect.features import load_feature_set
+from subselect.features import load_feature_set, save_feature_set
 from subselect.lm import load_lm
 
 
@@ -52,6 +53,23 @@ class TestExtractFeatures:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_saved_set_holds_no_ground_pairs(self, corpora, monkeypatch):
+        # fit_idf keeps the ground's enumeration for a relevance_rows call
+        # that extract-features never makes; it must not hold it while writing
+        tmp, ground, in_domain = corpora
+        held = []
+
+        def save(features, path):
+            held.append(features._ground)
+            save_feature_set(features, path)
+
+        monkeypatch.setattr(cli, "save_feature_set", save)
+        assert main([
+            "extract-features", "--in-domain-src", in_domain,
+            "--ground-src", ground, "--max-order", "2", "--out", str(tmp / "f.tsv"),
+        ]) == 0
+        assert held == [None]
 
     def test_missing_input_is_a_usage_error(self, corpora, capsys):
         tmp, ground, _ = corpora

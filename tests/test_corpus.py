@@ -1,9 +1,13 @@
 import logging
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from subselect.corpus import Corpus, Sentence, load_corpus, tokenize
+from subselect.cli import main
+from subselect.corpus import TOKENIZERS, Corpus, Sentence, load_corpus, tokenize
 from subselect.errors import AlignmentError, ConfigError, EmptyCorpusError
 
 
@@ -131,3 +135,128 @@ class TestCorpusInvariants:
         sent = Sentence(0, ("a",))
         with pytest.raises(AttributeError):
             sent.id = 3
+
+
+# whitespace that str.split() knows beyond the ASCII space, and letters
+# whose lower case differs in length (U+0130) or not at all (U+00DF)
+LINE_CHARS = "abAB\u0130\u00df \r\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+
+@st.composite
+def corpus_files(draw):
+    """Source lines, target lines or None, and whether the last line ends in a newline."""
+    line = st.text(alphabet=LINE_CHARS, max_size=12)
+    src = draw(st.lists(line, min_size=1, max_size=10))
+    tgt = draw(st.one_of(st.none(), st.lists(line, min_size=len(src), max_size=len(src))))
+    # a file whose last line is blank ends in a newline, or that line would not exist
+    newline_at_end = draw(st.booleans()) or src[-1] == "" or (tgt is not None and tgt[-1] == "")
+    return src, tgt, newline_at_end
+
+
+def write_lines(path, lines, newline_at_end):
+    path.write_bytes(("\n".join(lines) + ("\n" if newline_at_end else "")).encode("utf-8"))
+    return str(path)
+
+
+class TestLoaderProperty:
+    @given(files=corpus_files(), tokenizer=st.sampled_from(TOKENIZERS))
+    def test_loaded_corpus_is_the_tokenized_lines(self, tmp_path_factory, files, tokenizer):
+        src_lines, tgt_lines, newline_at_end = files
+        tmp = tmp_path_factory.mktemp("load")
+        src = write_lines(tmp / "s.txt", src_lines, newline_at_end)
+        tgt = None if tgt_lines is None else write_lines(tmp / "t.txt", tgt_lines, newline_at_end)
+
+        pairs = [
+            (tokenize(s, tokenizer), None if tgt_lines is None else tokenize(tgt_lines[i], tokenizer))
+            for i, s in enumerate(src_lines)
+        ]
+        half = [i for i, (s, t) in enumerate(pairs) if t is not None and bool(s) != bool(t)]
+        kept = [(s, t) for s, t in pairs if s or t]
+        if half:
+            with pytest.raises(AlignmentError, match=f"line {half[0] + 1}:"):
+                load_corpus(src, tgt, tokenizer)
+            return
+        if not kept:
+            with pytest.raises(EmptyCorpusError):
+                load_corpus(src, tgt, tokenizer)
+            return
+        corpus = load_corpus(src, tgt, tokenizer)
+
+        expected = tuple(
+            Sentence(i, tuple(s), None if t is None else tuple(t)) for i, (s, t) in enumerate(kept)
+        )
+        assert tuple(corpus) == expected
+        assert corpus.sentences == expected
+        assert [corpus[i] for i in range(len(corpus))] == list(expected)
+        assert corpus.n_skipped == len(pairs) - len(kept)
+        assert corpus.total_cost == sum(len(s) for s, _ in kept)
+        sides = [(corpus.source, [s for s, _ in kept])]
+        if tgt is not None:
+            sides.append((corpus.target, [t for _, t in kept]))
+        for stream, texts in sides:
+            assert list(stream.vocab) == sorted(set(tok for text in texts for tok in text))
+            assert stream.ids.dtype == np.int32
+            assert stream.lens.tolist() == [len(text) for text in texts]
+        assert Corpus(expected, parallel=tgt is not None, n_skipped=corpus.n_skipped) == corpus
+
+
+class TestCorpusViews:
+    def test_a_loaded_corpus_builds_sentences_only_when_read(self, tmp_path):
+        corpus = load_corpus(write(tmp_path / "mono.txt", "b a\n\nc b b\n"))
+        assert corpus._sentences is None
+        assert corpus.source.vocab == ("a", "b", "c")
+        assert corpus.source.ids.tolist() == [1, 0, 2, 1, 1] and corpus.source.lens.tolist() == [2, 3]
+        assert corpus[-1] == Sentence(1, ("c", "b", "b"))
+        assert corpus[0:1] == (Sentence(0, ("b", "a")),)
+        with pytest.raises(IndexError):
+            corpus[2]
+        assert corpus._sentences is None
+        assert corpus.sentences is corpus.sentences
+
+    def test_take_keeps_the_vocabulary(self, tmp_path):
+        stream = load_corpus(write(tmp_path / "mono.txt", "b a\nc\nd d\n")).source
+        part = stream.take([2, 0])
+        assert part.vocab == stream.vocab
+        assert list(part.texts()) == [("d", "d"), ("b", "a")]
+
+
+def write_pool(path, n_lines, n_tokens, seed=0):
+    """Zipf-distributed tokens over a 10k vocabulary, as the benchmark's pools are."""
+    rng = random.Random(seed)
+    vocab = [f"t{i}" for i in range(10_000)]
+    zipf = [1.0 / (r + 1) for r in range(len(vocab))]
+    tokens = rng.choices(vocab, weights=zipf, k=n_lines * n_tokens)
+    lines = (" ".join(tokens[i : i + n_tokens]) + "\n" for i in range(0, len(tokens), n_tokens))
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+class TestFootprint:
+    def test_a_pool_holds_its_token_ids_not_its_token_strings(self, tmp_path):
+        # 180k tokens: a str and a tuple slot per token came to about 12 MB
+        path = write_pool(tmp_path / "pool.src", 12_000, 15)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 12_000 and corpus.total_cost == 180_000
+        assert held <= 3 * 2**20
+
+    def test_select_both_builds_no_sentence(self, tmp_path, monkeypatch):
+        ground = write_pool(tmp_path / "ground.src", 300, 12, seed=1)
+        in_domain = write_pool(tmp_path / "indomain.src", 30, 12, seed=2)
+        tgt = write_pool(tmp_path / "ground.tgt", 300, 9, seed=3)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a Sentence was built")
+
+        monkeypatch.setattr(Sentence, "__init__", built)
+        monkeypatch.setattr(Corpus, "sentences", property(built))
+        assert main([
+            "select", "--method", "both", "--in-domain-src", in_domain, "--ground-src", ground,
+            "--ground-tgt", tgt, "--max-order", "3", "--budget-words", "400",
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+        assert (tmp_path / "out" / "xent.selected.tgt").read_text().count("\n") > 0

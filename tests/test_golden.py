@@ -226,3 +226,45 @@ def test_staged_feature_file_and_report_match_pinned_digests(tmp_path, weighting
     paths = (features, out_dir / "report.txt", out_dir / "report.csv")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == STAGED_FEATURES_GOLDEN[weighting]
+
+
+# `select --method both --ground-tgt` on the 150-sentence pool above, made
+# parallel: each target line is its source line reversed and upper-cased,
+# some joined by tabs or a stray "\r", with two lines blank on both sides.
+# The selected source and target files of both methods. Recorded from an
+# earlier implementation.
+PARALLEL_FILES = ("submod.selected.src", "submod.selected.tgt", "xent.selected.src", "xent.selected.tgt")
+
+PARALLEL_GOLDEN = {
+    "submod.selected.src": "5bcdb823426a35bdc1d75f97b486a220bbb890e13c40f6ec5abfc632a609f817",
+    "submod.selected.tgt": "61d7763446d36bcbc11952c8d1762e84788f5ef6860e7d3669913047512348f4",
+    "xent.selected.src": "3df64fae550210a4c3fe68868359831808306c2fa971c145384cbd0045f2df10",
+    "xent.selected.tgt": "f06529a9eef974f56d906f0fae5b4bfe09ac1f9876b9bfb75dd67f0638093d4c",
+}
+
+
+def write_parallel_pool(tmp_path):
+    ground, ind = write_inputs(tmp_path, 150)
+    rng = random.Random(20152)
+    src, tgt = [], []
+    for line in ground.read_text(encoding="utf-8").splitlines():
+        if rng.random() < 0.02:
+            src.append(" ")
+            tgt.append("")
+        src.append(line)
+        tgt.append(rng.choice((" ", "\t", " \r ")).join(tok.upper() for tok in reversed(line.split())))
+    ground.write_text("".join(line + "\n" for line in src), encoding="utf-8")
+    ground_tgt = tmp_path / "ground.tgt"
+    ground_tgt.write_text("".join(line + "\n" for line in tgt), encoding="utf-8")
+    return ground, ground_tgt, ind
+
+
+def test_parallel_selection_files_match_pinned_digests(tmp_path):
+    ground, ground_tgt, ind = write_parallel_pool(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main([
+        "select", "--method", "both", "--in-domain-src", str(ind), "--ground-src", str(ground),
+        "--ground-tgt", str(ground_tgt), "--budget-words", "300", "--out-dir", str(out_dir),
+    ]) == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in PARALLEL_FILES}
+    assert digests == PARALLEL_GOLDEN
