@@ -312,6 +312,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     _require_files(args.ground_src, args.ground_tgt, args.in_domain_src, args.in_domain_tgt)
     ground = load_corpus(args.ground_src, args.ground_tgt, args.tokenizer)
     in_domain = load_corpus(args.in_domain_src, args.in_domain_tgt, args.tokenizer)
@@ -333,10 +335,7 @@ def cmd_select(args) -> int:
         features = fit_idf(
             extract_feature_set(in_domain, args.max_order, args.feature_weights), ground
         )
-        state = greedy_select(
-            ground, features, concave, budget,
-            cost_mode=cost_mode, variant=args.variant, threads=args.threads,
-        )
+        state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=args.variant)
         write_selection_tsv(out_dir / "submod.selection.tsv", state)
         write_selected_corpus(
             ground, state.selected,

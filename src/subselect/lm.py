@@ -15,10 +15,11 @@ through one lookup per distinct token and counts each order's windows
 with ``np.unique``. ``save_lm`` writes the v1 JSON file
 from the tables, and ``load_lm`` reads it straight back into tables. It
 checks the file as it loads: counts, orders, tokens and histories.
-Sentences are scored in batches against the tables, one order at a time.
-The recursive ``_prob`` is the scalar definition; batch scores reproduce
-it bit for bit. Only ``_prob`` and inspection read ``counts``, a
-tuple-keyed view that decodes an order when it is first read.
+Every probability comes from one kernel, ``_event_probs``, which applies
+the smoothing rule to a batch of events against the tables, one order at
+a time: ``log_probs`` over whole sentences, ``conditional_prob`` over one
+history and word. ``counts`` is a tuple-keyed view for inspection that
+decodes an order when it is first read.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError
-from .ngramkeys import depths, rank
+from .ngramkeys import _LazyMapping, depths, rank
 
 BOS = "<s>"
 EOS = "</s>"
@@ -155,28 +156,6 @@ def _empty_history(tables: list[_OrderTable], n: int) -> np.ndarray:
     return np.full(n, 0 if len(tables[0].hist_keys) else -1, dtype=np.int64)
 
 
-class _Counts(Mapping):
-    """One order's counts keyed by token tuples, decoded from its table on first read."""
-
-    def __init__(self, lm: "NgramLanguageModel", k: int):
-        self._lm = lm
-        self._k = k
-
-    def __len__(self) -> int:
-        return len(self._lm.tables[self._k - 1].keys)
-
-    @cached_property
-    def _decoded(self) -> dict[tuple[str, ...], int]:
-        table = self._lm.tables[self._k - 1]
-        return dict(zip(self._lm._tuples(table.keys, self._k), table.counts.tolist()))
-
-    def __getitem__(self, ngram: tuple[str, ...]) -> int:
-        return self._decoded[ngram]
-
-    def __iter__(self):
-        return iter(self._decoded)
-
-
 class NgramLanguageModel:
     """Count tables plus a smoothing rule; probabilities are computed on demand.
 
@@ -213,11 +192,6 @@ class NgramLanguageModel:
     def event_vocab(self) -> list[str]:
         return self.tokens[:-1]
 
-    def map_token(self, token: str) -> str:
-        if token in self.vocab or token in (BOS, EOS, UNK):
-            return token
-        return UNK
-
     def _columns(self, keys: np.ndarray, m: int) -> list[list[str]]:
         """The tokens of the length-m sequences with these keys (n-gram keys of
         order m, or history keys of order m + 1), one list per position."""
@@ -237,61 +211,24 @@ class NgramLanguageModel:
     def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:
         """Per order, each n-gram's count under its token tuple.
 
-        A read-only view for the scalar ``_prob`` and for inspection: an
-        order's tuples are decoded on its first lookup, but its length is
-        the table's size.
+        A read-only view for inspection: an order's tuples are decoded on
+        its first lookup, but its length is the table's size.
         """
-        return {k: _Counts(self, k) for k in range(1, self.order + 1)}
-
-    def _per_history(self, column: str) -> dict[int, dict[tuple[str, ...], int]]:
         return {
-            k: dict(zip(self._tuples(table.hist_keys, k - 1), getattr(table, column).tolist()))
-            for k, table in enumerate(self.tables, start=1)
+            k: _LazyMapping(len(t.keys), lambda k=k, t=t: dict(zip(self._tuples(t.keys, k), t.counts.tolist())))
+            for k, t in enumerate(self.tables, start=1)
         }
 
-    @cached_property
-    def _hist_total(self) -> dict[int, dict[tuple[str, ...], int]]:
-        """Per order, each history's summed count (scalar path only)."""
-        return self._per_history("hist_total")
-
-    @cached_property
-    def _hist_types(self) -> dict[int, dict[tuple[str, ...], int]]:
-        """Per order, each history's number of distinct continuations (scalar path only)."""
-        return self._per_history("hist_types")
-
-    def _prob(self, word: str, hist: tuple[str, ...]) -> float:
-        k = len(hist) + 1
-        counts = self.counts.get(k, {})
-        c_hist = self._hist_total.get(k, {}).get(hist, 0)
-        if self.smoothing == "mle":
-            if c_hist == 0:
-                return 0.0
-            return counts.get(hist + (word,), 0) / c_hist
-        if self.smoothing == "add-k":
-            k_const = self.add_k
-            return (counts.get(hist + (word,), 0) + k_const) / (
-                c_hist + k_const * self.event_vocab_size
-            )
-        # interpolated Witten-Bell: blend MLE with the next-shorter history,
-        # bottoming out at the uniform distribution over predictable events
-        lower = self._prob(word, hist[1:]) if k > 1 else 1.0 / self.event_vocab_size
-        if c_hist == 0:
-            return lower
-        n_types = self._hist_types.get(k, {}).get(hist, 0)
-        return (counts.get(hist + (word,), 0) + n_types * lower) / (c_hist + n_types)
-
     def conditional_prob(self, word: str, history: Sequence[str] = ()) -> float:
-        """P(word | history) with OOV tokens mapped to the unknown marker.
+        """P(word | history), with tokens outside ``ids`` as the unknown marker.
 
-        The history is truncated to the most recent order-1 tokens.
+        The history is truncated to the most recent order-1 tokens. A
+        marker string stays itself, so ``history`` may start with ``<s>``.
         """
-        w = self.map_token(word)
-        hist = tuple(self.map_token(t) for t in history)
-        if self.order > 1:
-            hist = hist[-(self.order - 1) :]
-        else:
-            hist = ()
-        return self._prob(w, hist)
+        hist = list(history)[-(self.order - 1) :] if self.order > 1 else []
+        unk = self.ids[UNK]
+        tok = np.array([self.ids.get(t, unk) for t in [*hist, word]], dtype=np.int64)
+        return _event_probs(self, tok, np.arange(len(tok)), len(hist)).item()
 
 
 def train_lm(
@@ -348,24 +285,28 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
     start-padded. An event the model gives zero probability (possible
     only for MLE) makes that sentence's result negative infinity.
 
-    All sentences are scored together, one order at a time, with the
-    float operations of the recursive ``_prob`` in the same order; each
-    result is the left-to-right sum of ``math.log`` of those
-    probabilities, so it equals the scalar definition exactly.
+    All sentences are scored together by ``_event_probs``; each result
+    is the left-to-right sum of ``math.log`` of its events'
+    probabilities, each exactly the ``conditional_prob`` of that event
+    (with marker strings in the text read as the unknown marker).
     """
     return _log_probs(lm, _padded(as_stream(sentences), lm.ids, lm.order, lm.markers))
 
 
-def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> list[float]:
-    """``log_probs`` over sentences ``_padded`` with the model's ids, order and markers."""
-    tok, lens, depth, first = padded
+def _event_probs(lm: NgramLanguageModel, tok: np.ndarray, depth: np.ndarray, first: int) -> np.ndarray:
+    """The probability of every event in a stream of model ids, in stream order.
+
+    ``depth`` is each position's index within its sequence, and the
+    events are the positions at depth ``first`` or more. Each is
+    predicted from up to order-1 tokens before it in its sequence.
+    """
     tables = lm.tables
     base = len(lm.ids)
     prev_tok = np.zeros_like(tok)
     prev_tok[1:] = tok[:-1]
     events = np.flatnonzero(depth >= first)
     word = tok[events]
-    # the history length the scalar call gets: order-1, or fewer without markers
+    # each event's history length: order-1, or fewer near a sequence start
     top = np.minimum(depth[events], lm.order - 1)
 
     v = lm.event_vocab_size
@@ -382,7 +323,9 @@ def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.
         h = hist[events]
         c_hist = _at(table.hist_total, h)
         if lm.smoothing == "interpolated-wb":
-            # blend where the history was seen, else keep the lower-order value
+            # interpolated Witten-Bell: blend the MLE with the next-shorter
+            # history's value where the history was seen, bottoming out at
+            # the uniform distribution over predictable events
             sel = np.flatnonzero(c_hist > 0)
         else:
             sel = np.flatnonzero(top == k - 1)
@@ -392,12 +335,17 @@ def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.
             n = _at(table.hist_types, h)
             p[sel] = (c + n * p[sel]) / (c_hist + n)
         elif lm.smoothing == "mle":
-            # an unseen history has c == 0, so the clamp yields the scalar 0.0
+            # an unseen history has c == 0, so the clamp yields 0.0
             p[sel] = c / np.maximum(c_hist, 1)
         else:
             p[sel] = (c + lm.add_k) / (c_hist + lm.add_k * v)
+    return p
 
-    probs = iter(p.tolist())
+
+def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> list[float]:
+    """``log_probs`` over sentences ``_padded`` with the model's ids, order and markers."""
+    tok, lens, depth, first = padded
+    probs = iter(_event_probs(lm, tok, depth, first).tolist())
     out: list[float] = []
     for n_events in (lens - first).tolist():
         total = 0.0
@@ -443,7 +391,9 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
 def load_lm(path) -> NgramLanguageModel:
     """Read a model written by ``save_lm`` straight into its tables.
 
-    The file is checked as it loads: every count must be a JSON integer
+    The file is checked as it loads: ``add_k`` must be a finite number
+    (above 0 for add-k), ``markers`` a JSON boolean and ``unk_floor`` a
+    JSON integer of at least 1; every count must be a JSON integer
     of at least 1, every table an order from 1 to the model's, every
     n-gram as long as its order and made of vocabulary tokens and
     markers, and every history must extend one the next-shorter order
@@ -458,12 +408,24 @@ def load_lm(path) -> NgramLanguageModel:
         raise ConfigError(f"{path}: not a language-model file")
     if payload.get("version") != LM_VERSION:
         raise ConfigError(f"{path}: unsupported language-model version {payload.get('version')}")
+    fields = ("order", "smoothing", "add_k", "markers", "unk_floor", "vocab", "counts")
     try:
-        order, smoothing, vocab, tables = (payload[f] for f in ("order", "smoothing", "vocab", "counts"))
-        add_k, markers, unk_floor = float(payload["add_k"]), bool(payload["markers"]), int(payload["unk_floor"])
-    except (KeyError, TypeError, ValueError) as exc:
+        order, smoothing, add_k, markers, unk_floor, vocab, tables = map(payload.__getitem__, fields)
+        # bool is a subclass of int, so compare the types themselves
+        finite_k = type(add_k) in (int, float) and math.isfinite(add_k)
+    except (KeyError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed language-model header") from exc
-    if type(order) is not int or order < 1 or smoothing not in SMOOTHINGS or not isinstance(tables, dict):
+    if (
+        type(order) is not int
+        or order < 1
+        or smoothing not in SMOOTHINGS
+        or not finite_k
+        or (smoothing == "add-k" and add_k <= 0)
+        or type(markers) is not bool
+        or type(unk_floor) is not int
+        or unk_floor < 1
+        or not isinstance(tables, dict)
+    ):
         raise ConfigError(f"{path}: malformed language-model header")
     if not isinstance(vocab, list) or set(map(type, vocab)) - {str} or {BOS, EOS, UNK} & set(vocab):
         raise ConfigError(f"{path}: the vocabulary must be a list of tokens other than the markers")
@@ -501,5 +463,5 @@ def load_lm(path) -> NgramLanguageModel:
         keys = hist_rank * base + ngrams[:, k - 1]
         by_key = np.argsort(keys)
         built.append(_order_table(hist_keys, keys[by_key], counts[by_key], base))
-    return NgramLanguageModel(order, smoothing, add_k, markers, unk_floor, ids, built)
+    return NgramLanguageModel(order, smoothing, float(add_k), markers, unk_floor, ids, built)
 

@@ -10,9 +10,36 @@ int64 at any order. This is the sorted-array layout of Heafield's KenLM:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Mapping
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+
+class _LazyMapping(Mapping):
+    """A read-only mapping of known size whose dict is decoded on first read.
+
+    ``lm`` views its count tables this way and ``submodular`` a finished
+    run's feature masses, so that code that only sizes them decodes no key.
+    """
+
+    def __init__(self, size: int, decode: Callable[[], dict]):
+        self._size = size
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def _decoded(self) -> dict:
+        return self._decode()
+
+    def __getitem__(self, key):
+        return self._decoded[key]
+
+    def __iter__(self):
+        return iter(self._decoded)
 
 
 def rank(sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int) -> np.ndarray:

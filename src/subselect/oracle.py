@@ -299,7 +299,6 @@ def compare_methods(
     lm_smoothing: str = "interpolated-wb",
     unk_floor: int = 1,
     include_oracle: bool | None = None,
-    threads: int = 1,
 ) -> ComparisonReport:
     """Run both selectors on identical inputs and report side-by-side metrics."""
     from .features import extract_feature_set, fit_idf
@@ -307,9 +306,7 @@ def compare_methods(
     from .xent import rank_and_select, score_corpus, train_domain_pair
 
     features = fit_idf(extract_feature_set(in_domain, max_order, feature_weighting), ground)
-    submod_state = greedy_select(
-        ground, features, concave, budget, cost_mode=cost_mode, variant=variant, threads=threads
-    )
+    submod_state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
     lm_in, lm_out = train_domain_pair(in_domain, ground, lm_order, lm_smoothing, unk_floor=unk_floor)
     scores = score_corpus(ground, lm_in, lm_out)
     if cost_mode == "words":

@@ -39,7 +39,6 @@ import heapq
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -48,6 +47,7 @@ import numpy as np
 from .corpus import Corpus, Sentence
 from .errors import ConfigError, StateError
 from .features import FeatureSet, FeatureVector, RelevanceRows, featurize, relevance_rows
+from .ngramkeys import _LazyMapping
 
 logger = logging.getLogger(__name__)
 
@@ -338,31 +338,12 @@ def marginal_gain(
 # greedy selection
 
 
-class _Mass(Mapping):
-    """A finished run's positive masses keyed by column name, decoded on first read."""
-
-    def __init__(self, names: Sequence, cols: np.ndarray, values: np.ndarray):
-        self._names = names
-        self._cols = cols
-        self._values = values
-
-    def __len__(self) -> int:
-        return len(self._cols)
-
-    @cached_property
-    def _decoded(self) -> dict:
-        return dict(zip(map(self._names.__getitem__, self._cols.tolist()), self._values.tolist()))
-
-    def __getitem__(self, key) -> float:
-        return self._decoded[key]
-
-    def __iter__(self):
-        return iter(self._decoded)
-
-
 def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) -> SelectionState:
     cols = np.flatnonzero(mass > 0.0)
-    state.mass = _Mass(problem.col_names, cols, mass[cols])
+    names, values = problem.col_names, mass[cols]
+    state.mass = _LazyMapping(
+        len(cols), lambda: dict(zip(map(names.__getitem__, cols.tolist()), values.tolist()))
+    )
     return state
 
 
@@ -485,13 +466,11 @@ def _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, st
     return commit
 
 
-def _run_greedy(problem, concave, budget, cost_mode, variant, threads) -> SelectionState:
+def _run_greedy(problem, concave, budget, cost_mode, variant) -> SelectionState:
     if budget <= 0:
         raise ConfigError(f"budget must be positive, got {budget}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of: {', '.join(VARIANTS)}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     if problem.n_rows and min(problem.costs) > budget:
         logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
@@ -507,7 +486,6 @@ def greedy_select(
     budget: float = 100000,
     cost_mode: str = "words",
     variant: str = "lazy",
-    threads: int = 1,
 ) -> SelectionState:
     """Select a sub-corpus by budgeted greedy coverage maximization.
 
@@ -515,12 +493,11 @@ def greedy_select(
     still fit the budget; selection stops when nothing feasible has
     positive gain. Ties go to the higher ratio and then the lower id. A
     budget below every sentence cost yields an empty selection with a
-    logged warning, not an error. ``threads`` is validated (it must be at
-    least 1) but runs nothing in parallel: every variant is single-threaded.
+    logged warning, not an error. Every variant is single-threaded.
     """
     costs = _corpus_costs(ground, features, cost_mode)
     problem = _Problem(relevance_rows(ground, features), costs)
-    return _run_greedy(problem, concave, budget, cost_mode, variant, threads)
+    return _run_greedy(problem, concave, budget, cost_mode, variant)
 
 
 def greedy_select_vectors(
@@ -530,7 +507,6 @@ def greedy_select_vectors(
     budget: float = 1,
     weights: Mapping | None = None,
     variant: str = "lazy",
-    threads: int = 1,
 ) -> SelectionState:
     """greedy_select over explicit relevance vectors instead of a corpus.
 
@@ -540,4 +516,4 @@ def greedy_select_vectors(
     plain, costs = _vector_instance(vectors, costs)
     cost_mode = "unit" if all(c == 1 for c in costs) else "words"
     problem = _Problem(_vector_rows(plain, weights), costs)
-    return _run_greedy(problem, concave, budget, cost_mode, variant, threads)
+    return _run_greedy(problem, concave, budget, cost_mode, variant)

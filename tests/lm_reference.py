@@ -1,16 +1,25 @@
-"""Language-model training and table building as they were before the
-tables were counted straight from integer keys.
+"""Scalar and tuple-keyed references for the language model.
+
+``prob`` is the scalar definition of the three smoothing rules: a
+recursion over a model's tuple-keyed ``counts`` and its settings alone,
+with each history's total and type count derived from those counts.
+``conditional_prob`` and ``log_prob`` apply it as the library's
+``conditional_prob`` and ``log_probs`` do; the library's batch kernel
+must give the same floats bit for bit.
 
 ``_train`` counts tuple windows into per-order dicts, and ``_tables``
 turns those dicts into sorted integer-key tables on first use. Both are
-kept verbatim as references: the integer counting must give the same
-tables and the same counts. ``_tables`` numbers tokens in the iteration
-order of ``vocab``; give the model a vocabulary that iterates in string
-order (``ordered_vocab``) to get the ids the library uses.
+kept verbatim from before the tables were counted straight from integer
+keys: the integer counting must give the same tables and the same
+counts. ``_tables`` numbers tokens in the iteration order of ``vocab``;
+give the model a vocabulary that iterates in string order
+(``ordered_vocab``) to get the ids the library uses.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress
@@ -22,6 +31,73 @@ from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, EmptyCorpusError
 from subselect.lm import BOS, EOS, UNK, _empty_history, _OrderTable, parse_smoothing
 from subselect.ngramkeys import depths, rank
+
+_HISTORY_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _history_stats(lm) -> tuple[dict[int, Counter], dict[int, Counter]]:
+    """Per order, each history's summed count and its number of distinct
+    continuations, derived from ``lm.counts`` once per model."""
+    if lm not in _HISTORY_STATS:
+        total = {k: Counter() for k in lm.counts}
+        types = {k: Counter() for k in lm.counts}
+        for k, table in lm.counts.items():
+            for ngram, c in table.items():
+                total[k][ngram[:-1]] += c
+                types[k][ngram[:-1]] += 1
+        _HISTORY_STATS[lm] = total, types
+    return _HISTORY_STATS[lm]
+
+
+def history_total(lm, hist: tuple[str, ...]) -> int:
+    """The summed count of the n-grams that extend ``hist``."""
+    return _history_stats(lm)[0].get(len(hist) + 1, {}).get(hist, 0)
+
+
+def prob(lm, word: str, hist: tuple[str, ...]) -> float:
+    """P(word | hist) for already-mapped tokens, by the model's smoothing rule."""
+    k = len(hist) + 1
+    counts = lm.counts.get(k, {})
+    c_hist = history_total(lm, hist)
+    event_vocab_size = len(lm.vocab) + 2  # the vocabulary, the end and the unknown markers
+    if lm.smoothing == "mle":
+        if c_hist == 0:
+            return 0.0
+        return counts.get(hist + (word,), 0) / c_hist
+    if lm.smoothing == "add-k":
+        return (counts.get(hist + (word,), 0) + lm.add_k) / (c_hist + lm.add_k * event_vocab_size)
+    # interpolated Witten-Bell: blend MLE with the next-shorter history,
+    # bottoming out at the uniform distribution over predictable events
+    lower = prob(lm, word, hist[1:]) if k > 1 else 1.0 / event_vocab_size
+    if c_hist == 0:
+        return lower
+    n_types = _history_stats(lm)[1][k][hist]
+    return (counts.get(hist + (word,), 0) + n_types * lower) / (c_hist + n_types)
+
+
+def conditional_prob(lm, word: str, history=()) -> float:
+    """``prob`` with the history cut to its last order-1 tokens, and with
+    every token that is neither in the vocabulary nor a marker read as the
+    unknown marker."""
+    mapped = tuple(t if t in lm.vocab or t in (BOS, EOS, UNK) else UNK for t in (*history, word))
+    hist = mapped[:-1][-(lm.order - 1) :] if lm.order > 1 else ()
+    return prob(lm, mapped[-1], hist)
+
+
+def log_prob(lm, tokens) -> float:
+    """``math.log`` of ``prob`` over each event of a sentence, summed left to
+    right; negative infinity at a zero. Marker strings in the text are
+    out-of-vocabulary."""
+    mapped = tuple(t if t in lm.vocab else UNK for t in tokens)
+    first = lm.order - 1 if lm.markers else 0
+    seq = (BOS,) * first + mapped + ((EOS,) if lm.markers else ())
+    total = 0.0
+    for i in range(first, len(seq)):
+        p = prob(lm, seq[i], seq[max(0, i - lm.order + 1) : i])
+        if p <= 0.0:
+            return float("-inf")
+        total += math.log(p)
+    return total
 
 
 def ordered_vocab(vocab) -> dict[str, None]:

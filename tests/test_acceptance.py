@@ -32,6 +32,7 @@ from subselect.submodular import (
 )
 from subselect.xent import rank_and_select, score_corpus, train_domain_pair
 
+import lm_reference
 from support import make_instance, random_curve
 
 SQRT = ConcaveSpec("power", 0.5)
@@ -277,8 +278,8 @@ def test_08_language_model_distributions_are_normalized():
                 if smoothing != "mle":
                     histories |= {("zzz",), (), ("zzz", "zzz")}
                 for hist in histories:
-                    total = sum(lm._prob(w, hist) for w in lm.event_vocab())
-                    if smoothing == "mle" and lm._hist_total.get(len(hist) + 1, {}).get(hist, 0) == 0:
+                    total = sum(lm.conditional_prob(w, hist) for w in lm.event_vocab())
+                    if smoothing == "mle" and lm_reference.history_total(lm, hist) == 0:
                         continue
                     assert abs(total - 1.0) <= 1e-6, (smoothing, order, hist, total)
                     checked += 1

@@ -138,6 +138,21 @@ class TestTrainLmAndScore:
         assert rc == 2
 
 
+    def test_malformed_header_exits_2(self, corpora):
+        # an add-k model whose constant is not positive scored -inf when loaded
+        tmp, ground, _ = corpora
+        model = tmp / "m.lm"
+        assert main(["train-lm", "--src", ground, "--smoothing", "add-k", "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["add_k"] = 0
+        model.write_text(json.dumps(payload))
+        rc = main([
+            "score", "--ground-src", ground, "--lm-in", str(model), "--lm-out", str(model),
+            "--out", str(tmp / "scores.tsv"),
+        ])
+        assert rc == 2
+
+
 class TestSelect:
     def run_select(self, tmp, ground, in_domain, out_name, *extra):
         out_dir = tmp / out_name
@@ -173,6 +188,13 @@ class TestSelect:
         _, a = self.run_select(tmp, ground, in_domain, "t1", "--variant", "naive", "--threads", "1")
         _, b = self.run_select(tmp, ground, in_domain, "t4", "--variant", "naive", "--threads", "4")
         assert (a / "submod.selection.tsv").read_bytes() == (b / "submod.selection.tsv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["submod", "xent", "both"])
+    def test_zero_threads_exit_2(self, corpora, method):
+        tmp, ground, in_domain = corpora
+        rc, out_dir = self.run_select(tmp, ground, in_domain, "t0", "--method", method, "--threads", "0")
+        assert rc == 2
+        assert not out_dir.exists()
 
     def test_variants_agree_end_to_end(self, corpora):
         tmp, ground, in_domain = corpora

@@ -1,5 +1,7 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ from subselect.lm import (
     train_lm,
 )
 from subselect.xent import score_corpus
+
+import lm_reference as ref
+from lm_reference import log_prob as scalar_log_prob
 
 
 def corpus_of(*lines):
@@ -311,6 +316,47 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_lm(path)
 
+    @pytest.mark.parametrize(
+        "smoothing, field, value",
+        [
+            ("add-k", "add_k", 0),
+            ("add-k", "add_k", -1.0),
+            ("add-k", "add_k", float("nan")),
+            ("add-k", "add_k", True),  # a JSON boolean, not a constant
+            ("interpolated-wb", "add_k", float("inf")),
+            ("interpolated-wb", "add_k", "0.0"),
+            ("interpolated-wb", "markers", "false"),
+            ("interpolated-wb", "markers", 1),
+            ("interpolated-wb", "unk_floor", 2.7),
+            ("interpolated-wb", "unk_floor", -4),
+            ("interpolated-wb", "unk_floor", 0),
+            ("interpolated-wb", "unk_floor", True),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, smoothing, field, value):
+        import json
+
+        path = tmp_path / "model.json"
+        save_lm(train_lm(corpus_of("a b"), order=2, smoothing=smoothing), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="header"):
+            load_lm(path)
+
+    def test_integer_add_k_loads_as_a_float(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        lm = train_lm(corpus_of("a b"), order=2, smoothing="add-k:2")
+        save_lm(lm, path)
+        payload = json.loads(path.read_text())
+        payload["add_k"] = 2
+        path.write_text(json.dumps(payload))
+        back = load_lm(path)
+        assert type(back.add_k) is float and back.add_k == 2.0
+        assert back.conditional_prob("a", ["b"]) == lm.conditional_prob("a", ["b"])
+
     def test_lengths_that_add_up_are_still_rejected(self, tmp_path):
         # three tokens and one in two bigram keys: four tokens, as two bigrams would have
         import json
@@ -333,23 +379,41 @@ class TestRandomizedConsistency:
             assert log_prob(lm, toks) <= 0.0
 
 
-def scalar_log_prob(lm, tokens):
-    """The scalar definition: ``math.log`` of the recursive ``_prob`` over
-    each event, summed left to right, negative infinity at a zero."""
-    mapped = tuple(t if t in lm.vocab else UNK for t in tokens)
-    first = lm.order - 1 if lm.markers else 0
-    seq = (BOS,) * first + mapped + ((EOS,) if lm.markers else ())
-    total = 0.0
-    for i in range(first, len(seq)):
-        p = lm._prob(seq[i], seq[max(0, i - lm.order + 1) : i])
-        if p <= 0.0:
-            return float("-inf")
-        total += math.log(p)
-    return total
-
-
 TOKENS = ["a", "b", "c", "d", BOS, EOS, UNK]
 token_lists = st.lists(st.sampled_from(TOKENS), max_size=8)
+
+
+class TestConditionalMatchesReference:
+    """``conditional_prob`` equals the scalar recursion bit for bit, no tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        train=st.lists(token_lists, min_size=1, max_size=6),
+        queries=st.lists(
+            st.tuples(
+                st.sampled_from(TOKENS + ["oov"]),
+                st.lists(st.sampled_from(TOKENS + ["oov", "zzz"]), max_size=9),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        order=st.integers(min_value=1, max_value=7),
+        smoothing=st.sampled_from(["mle", "add-k", "add-k:0.25", "interpolated-wb"]),
+        markers=st.booleans(),
+        unk_floor=st.sampled_from([1, 2]),
+        reload=st.booleans(),
+    )
+    def test_random_models_and_queries(self, train, queries, order, smoothing, markers, unk_floor, reload):
+        corpus = Corpus(tuple(Sentence(i, tuple(toks)) for i, toks in enumerate(train)))
+        lm = train_lm(corpus, order=order, smoothing=smoothing, markers=markers, unk_floor=unk_floor)
+        if reload:
+            with tempfile.TemporaryDirectory() as tmp:
+                save_lm(lm, Path(tmp) / "lm.json")
+                lm = load_lm(Path(tmp) / "lm.json")
+        for word, history in queries:
+            assert lm.conditional_prob(word, history) == ref.conditional_prob(lm, word, history)
+        for word in lm.event_vocab():
+            assert lm.conditional_prob(word, [BOS] * order) == ref.conditional_prob(lm, word, [BOS] * order)
 
 
 class TestBatchMatchesScalar:
@@ -415,8 +479,6 @@ class TestBatchMatchesScalar:
         for model in (lm, loaded):
             log_probs(model, [["a", "b"], ["c"]])
             assert "counts" not in vars(model)
-            assert "_hist_total" not in vars(model)
-            assert "_hist_types" not in vars(model)
 
     def test_counts_view_sizes_without_decoding(self):
         lm = train_lm(corpus_of("a b a", "c b"), order=3)

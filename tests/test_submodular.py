@@ -230,14 +230,6 @@ class TestGreedyBehavior:
         b = greedy_select_vectors(scaled, UNIT, SQRT, budget=2)
         assert a.selected == b.selected
 
-    def test_threads_do_not_change_naive_output(self):
-        rng = random.Random(41)
-        ground, _, features = make_instance(rng, n_ground=12)
-        one = greedy_select(ground, features, SQRT, budget=15, variant="naive", threads=1)
-        four = greedy_select(ground, features, SQRT, budget=15, variant="naive", threads=4)
-        assert one.selected == four.selected
-        assert one.trajectory == four.trajectory
-
     def test_unfitted_features_rejected(self):
         rng = random.Random(2)
         ground = make_corpus(rng, 4)
