@@ -41,10 +41,10 @@ def main() -> None:
         text = " ".join(ground[s.id].source_tokens)
         print(f"  {s.score:+.4f}  [{s.id}] {text}")
 
-    top = rank_and_select(ground, scores, n=2)
+    top = rank_and_select(ground, scores, 2, "unit")
     print(f"\ntop-2 by count: ids {top.selected}")
 
-    fitted = rank_and_select(ground, scores, budget_words=11)
+    fitted = rank_and_select(ground, scores, 11, "words")
     print(f"word budget 11: ids {fitted.selected}, spent {fitted.spent} words")
     print("(the walk stops at the first sentence that does not fit, so the")
     print(" output stays a pure prefix of the ranking)")

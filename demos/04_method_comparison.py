@@ -37,7 +37,6 @@ def main() -> None:
         cost_mode="unit",
         max_order=2,
         lm_order=2,
-        include_oracle=True,
     )
 
     print(report.format_table())

@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import TOKENIZERS, load_corpus
 from .errors import ConfigError, SubselectError
 from .features import FEATURE_WEIGHTINGS, extract_feature_set, fit_idf, load_feature_set, save_feature_set
-from .lm import corpus_vocab, load_lm, save_lm, train_lm
+from .lm import check_lm_settings, corpus_vocab, load_lm, save_lm, train_lm
 from .oracle import GUARANTEE_FLOOR, brute_force_optimal, brute_force_vectors, build_report
 from .output import (
     read_selection_ids,
@@ -27,7 +27,7 @@ from .output import (
     write_selection_tsv,
     write_summary,
 )
-from .submodular import ConcaveSpec, greedy_select, greedy_select_vectors
+from .submodular import ConcaveSpec, check_budget, greedy_select, greedy_select_vectors, sentence_costs
 from .xent import rank_and_select, score_corpus, train_domain_pair
 
 logger = logging.getLogger(__name__)
@@ -234,14 +234,12 @@ def _resolve_budget(args, ground) -> tuple[float, str]:
     if sum(given) > 1:
         raise ConfigError("give exactly one of --budget-words, --budget-sentences, --budget-percent")
     if args.budget_words is not None:
-        if args.budget_words <= 0:
-            raise ConfigError(f"word budget must be positive, got {args.budget_words}")
+        check_budget(args.budget_words)
         if args.cost_mode == "unit":
             raise ConfigError("--budget-words implies word costs; drop --cost-mode unit")
         return float(args.budget_words), "words"
     if args.budget_sentences is not None:
-        if args.budget_sentences <= 0:
-            raise ConfigError(f"sentence budget must be positive, got {args.budget_sentences}")
+        check_budget(args.budget_sentences)
         if args.cost_mode == "words":
             raise ConfigError("--budget-sentences implies unit costs; drop --cost-mode words")
         return float(args.budget_sentences), "unit"
@@ -250,9 +248,8 @@ def _resolve_budget(args, ground) -> tuple[float, str]:
         if not 0.0 < p <= 100.0:
             raise ConfigError(f"percent budget must be in (0, 100], got {p}")
         mode = args.cost_mode or "words"
-        if mode == "unit":
-            return float(math.ceil(p / 100.0 * len(ground))), "unit"
-        return p / 100.0 * ground.total_cost, "words"
+        share = p / 100.0 * int(sentence_costs(ground, mode).sum())
+        return (float(math.ceil(share)) if mode == "unit" else share), mode
     if args.cost_mode == "unit":
         raise ConfigError("unit cost mode needs --budget-sentences or --budget-percent")
     return DEFAULT_WORD_BUDGET, "words"
@@ -314,11 +311,13 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    if args.method in ("xent", "both"):
+        check_lm_settings(args.lm_order, args.lm_smoothing, args.unk_floor)
     _require_files(args.ground_src, args.ground_tgt, args.in_domain_src, args.in_domain_tgt)
     ground = load_corpus(args.ground_src, args.ground_tgt, args.tokenizer)
     in_domain = load_corpus(args.in_domain_src, args.in_domain_tgt, args.tokenizer)
     budget, cost_mode = _resolve_budget(args, ground)
-    total = ground.total_cost if cost_mode == "words" else float(len(ground))
+    total = int(sentence_costs(ground, cost_mode).sum())
     if budget >= total:
         logger.warning(
             "budget %g covers the whole ground set (total cost %g); "
@@ -353,10 +352,7 @@ def cmd_select(args) -> int:
         )
         scores = score_corpus(ground, lm_in, lm_out)
         write_scores_tsv(out_dir / "xent.scores.tsv", scores)
-        if cost_mode == "words":
-            xstate = rank_and_select(ground, scores, budget_words=budget)
-        else:
-            xstate = rank_and_select(ground, scores, n=int(budget))
+        xstate = rank_and_select(ground, scores, budget, cost_mode)
         write_selection_tsv(out_dir / "xent.selection.tsv", xstate)
         write_selected_corpus(
             ground, xstate.selected,
@@ -440,11 +436,8 @@ def cmd_report(args) -> int:
             if sid >= len(ground):
                 raise ConfigError(f"{path} line {lineno}: sentence {sid} is not in the {len(ground)}-sentence pool")
         selections.append((name, list(ids)))
-    # no budget is known here, so there is no optimum to compare against
-    report = build_report(
-        ground, features, concave, selections,
-        budget=0.0, cost_mode=args.cost_mode, include_oracle=False,
-    )
+    # no budget is known here: 0.0 says so, and build_report adds no optimum
+    report = build_report(ground, features, concave, selections, budget=0.0, cost_mode=args.cost_mode)
     write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")
     print(report.format_table(), file=sys.stderr)
     return 0

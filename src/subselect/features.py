@@ -448,6 +448,16 @@ def _check_fitted(features: FeatureSet) -> None:
         raise StateError("feature set is unfitted; call fit_idf before featurize")
 
 
+def _relevance(features: FeatureSet, pairs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_index.pairs`` output cut to the features with idf > 0, as ``(row, position,
+    count * idf)`` in the same order: rows in input order, features in order of first
+    occurrence."""
+    row, position, count = pairs
+    keep = (features.idf > 0.0)[position]  # False for NaN, the absent idf
+    position = position[keep]
+    return row[keep], position, count[keep] * features.idf[position]
+
+
 def featurize(sentence: Sentence, features: FeatureSet) -> FeatureVector:
     """Sparse relevance vector of one sentence under a fitted feature set.
 
@@ -457,13 +467,9 @@ def featurize(sentence: Sentence, features: FeatureSet) -> FeatureVector:
     occurrence.
     """
     _check_fitted(features)
-    _, position, count = features._index.pairs([sentence])
-    names = features._index.ngrams
-    entries: dict[NGram, float] = {}
-    for p, c, idf in zip(position.tolist(), count.tolist(), features.idf[position].tolist()):
-        if idf > 0.0:  # False for NaN, the absent idf
-            entries[names[p]] = c * idf
-    return FeatureVector(entries)
+    _, position, relevance = _relevance(features, features._index.pairs([sentence]))
+    names = map(features._index.ngrams.__getitem__, position.tolist())
+    return FeatureVector(dict(zip(names, relevance.tolist())))
 
 
 def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
@@ -474,23 +480,20 @@ def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
     """
     _check_fitted(features)
     index = features._index
-    idf = features.idf
     lex = index.lex()
-    active = lex[idf[lex] > 0.0]
+    active = lex[features.idf[lex] > 0.0]
     col_of = np.full(len(features), -1, dtype=np.int32)
     col_of[active] = np.arange(len(active), dtype=np.int32)
-    row, position, count = features._pairs(sentences)
+    row, position, relevance = _relevance(features, features._pairs(sentences))
     col = col_of[position]
-    keep = col >= 0
-    row, col, count = row[keep], col[keep], count[keep]
     by_col = np.lexsort((col, row))
-    row, col, count = row[by_col], col[by_col], count[by_col]
+    row = row[by_col]
     indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=len(sentences)), out=indptr[1:])
     return RelevanceRows(
         indptr=indptr,
-        cols=col,
-        vals=count * idf[active][col],
+        cols=col[by_col],
+        vals=relevance[by_col],
         names=_Names(index, active),
         weights=features.weight[active],
     )

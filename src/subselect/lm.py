@@ -61,8 +61,8 @@ def parse_smoothing(text: str) -> tuple[str, float]:
             k = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad add-k constant in {text!r}") from exc
-        if k <= 0:
-            raise ConfigError(f"add-k constant must be positive, got {k}")
+        if not math.isfinite(k) or k <= 0:  # load_lm's rule for a saved add_k
+            raise ConfigError(f"add-k constant must be finite and positive, got {k}")
         return "add-k", k
     raise ConfigError(
         f"unknown smoothing {text!r}; expected one of: mle, add-k[:k], interpolated-wb"
@@ -253,15 +253,20 @@ def train_lm(
     return _train(corpus, order, smoothing, markers, unk_floor, vocab)
 
 
-def _train(
-    corpus: Corpus, order: int, smoothing: str, markers: bool, unk_floor: int, vocab: set[str]
-) -> NgramLanguageModel:
-    """``train_lm`` over a vocabulary the caller has already collected."""
+def check_lm_settings(order: int, smoothing: str, unk_floor: int) -> tuple[str, float]:
+    """Check a model's training settings; return its smoothing kind and add-k constant."""
     if order < 1:
         raise ConfigError(f"LM order must be >= 1, got {order}")
     if unk_floor < 1:
         raise ConfigError(f"unk floor must be >= 1, got {unk_floor}")
-    kind, add_k = parse_smoothing(smoothing)
+    return parse_smoothing(smoothing)
+
+
+def _train(
+    corpus: Corpus, order: int, smoothing: str, markers: bool, unk_floor: int, vocab: set[str]
+) -> NgramLanguageModel:
+    """``train_lm`` over a vocabulary the caller has already collected."""
+    kind, add_k = check_lm_settings(order, smoothing, unk_floor)
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
-from .features import FeatureSet, FeatureVector, count_ngrams
-from .submodular import DEFAULT_CONCAVE, ConcaveSpec, objective, reference_gain
+from .features import FeatureSet, FeatureVector, _relevance, count_ngrams
+from .submodular import DEFAULT_CONCAVE, ConcaveSpec, objective, reference_gain, sentence_costs
 from .submodular import _corpus_costs, _vector_instance
 
 ORACLE_MAX_SENTENCES = 20
@@ -72,15 +72,6 @@ def _brute(vectors, costs, weight_of, concave, budget):
     return list(best_ids), best_f
 
 
-def _relevance_pairs(features: FeatureSet, sentences) -> tuple[np.ndarray, ...]:
-    """``_index.pairs`` cut to the features with idf > 0, as (row, feature,
-    relevance), plus the uncut positions and every feature's weight."""
-    row, position, count = features._index.pairs(sentences)
-    active = np.flatnonzero(features.idf[position] > 0.0)  # not NaN, the absent idf
-    feature = position[active]
-    return row[active], feature, count[active] * features.idf[feature], position, features.weight
-
-
 def brute_force_optimal(
     ground: Corpus,
     features: FeatureSet,
@@ -93,11 +84,11 @@ def brute_force_optimal(
     sentences."""
     _check_size(len(ground))
     costs = _corpus_costs(ground, features, cost_mode)
-    row, feature, relevance, _, weight = _relevance_pairs(features, ground)
+    row, feature, relevance = _relevance(features, features._index.pairs(ground))
     vectors: list[dict] = [{} for _ in ground]
     for r, u, val in zip(row.tolist(), feature.tolist(), relevance.tolist()):
         vectors[r][u] = val
-    return _brute(vectors, costs, weight.tolist().__getitem__, concave, budget)
+    return _brute(vectors, costs, features.weight.tolist().__getitem__, concave, budget)
 
 
 def brute_force_vectors(
@@ -244,10 +235,11 @@ def method_metrics(
     in selection order, so it equals ``evaluate`` bit for bit.
     """
     selection = ground.source.take(selected_ids)
-    _, feature, relevance, position, weight = _relevance_pairs(features, selection)
-    value = objective(zip(feature.tolist(), relevance.tolist()), weight.tolist().__getitem__, concave)
-    spent = int(selection.lens.sum()) if cost_mode == "words" else len(selection)
-    stats = _coverage(features, selection, position)
+    spent = int(sentence_costs(selection, cost_mode).sum())
+    pairs = features._index.pairs(selection)
+    _, feature, relevance = _relevance(features, pairs)
+    value = objective(zip(feature.tolist(), relevance.tolist()), features.weight.tolist().__getitem__, concave)
+    stats = _coverage(features, selection, pairs[1])
     return MethodMetrics(
         method, value, spent, len(selected_ids), stats.coverage, stats.redundancy, stats.type_token_ratio
     )
@@ -260,14 +252,13 @@ def build_report(
     selections: Sequence[tuple[str, Sequence[int]]],
     budget: float,
     cost_mode: str,
-    include_oracle: bool | None = None,
 ) -> ComparisonReport:
     """Assemble a ComparisonReport from finished selections.
 
-    The oracle fields are filled when explicitly requested, or by
-    default whenever the ground set is small enough to enumerate.
+    The oracle fields are filled exactly when the budget is positive and
+    the ground set is small enough to enumerate; a budget of 0 stands for
+    an unknown one, under which there is no optimum to compare against.
     """
-    run_oracle = include_oracle if include_oracle is not None else len(ground) <= ORACLE_MAX_SENTENCES
     report = ComparisonReport(
         budget=float(budget),
         cost_mode=cost_mode,
@@ -276,7 +267,7 @@ def build_report(
             for name, ids in selections
         ],
     )
-    if run_oracle:
+    if budget > 0 and len(ground) <= ORACLE_MAX_SENTENCES:
         optimal_ids, optimal_f = brute_force_optimal(ground, features, concave, budget, cost_mode)
         report.optimal_objective = optimal_f
         report.optimal_ids = optimal_ids
@@ -298,7 +289,6 @@ def compare_methods(
     lm_order: int = 4,
     lm_smoothing: str = "interpolated-wb",
     unk_floor: int = 1,
-    include_oracle: bool | None = None,
 ) -> ComparisonReport:
     """Run both selectors on identical inputs and report side-by-side metrics."""
     from .features import extract_feature_set, fit_idf
@@ -309,10 +299,7 @@ def compare_methods(
     submod_state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
     lm_in, lm_out = train_domain_pair(in_domain, ground, lm_order, lm_smoothing, unk_floor=unk_floor)
     scores = score_corpus(ground, lm_in, lm_out)
-    if cost_mode == "words":
-        xent_state = rank_and_select(ground, scores, budget_words=budget)
-    else:
-        xent_state = rank_and_select(ground, scores, n=int(budget))
+    xent_state = rank_and_select(ground, scores, budget, cost_mode)
     return build_report(
         ground,
         features,
@@ -320,5 +307,4 @@ def compare_methods(
         [("submod", submod_state.selected), ("xent", xent_state.selected)],
         budget,
         cost_mode,
-        include_oracle=include_oracle,
     )

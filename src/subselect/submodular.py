@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, StateError
 from .features import FeatureSet, FeatureVector, RelevanceRows, featurize, relevance_rows
 from .ngramkeys import _LazyMapping
@@ -242,9 +243,26 @@ def _vector_instance(vectors, costs) -> tuple[list[Mapping], list[int]]:
     """Check an explicit instance; return its plain vectors and integer costs."""
     if len(vectors) != len(costs):
         raise ConfigError(f"{len(vectors)} vectors but {len(costs)} costs")
-    if any(c < 1 or c != int(c) for c in costs):
+    if any(not math.isfinite(c) or c < 1 or c != int(c) for c in costs):
         raise ConfigError("every cost must be a positive integer")
     return _plain(vectors), [int(c) for c in costs]
+
+
+def sentence_costs(sentences: Corpus | TokenStream, cost_mode: str) -> np.ndarray:
+    """Each sentence's cost: its source-word count under ``"words"``, 1 under ``"unit"``.
+
+    Under unit costs a budget is a sentence count.
+    """
+    if cost_mode not in COST_MODES:
+        raise ConfigError(f"unknown cost mode {cost_mode!r}; expected one of: {', '.join(COST_MODES)}")
+    lens = as_stream(sentences).lens
+    return lens if cost_mode == "words" else np.ones(len(lens), dtype=lens.dtype)
+
+
+def check_budget(budget: float) -> None:
+    """A budget must be a positive number; NaN is not one."""
+    if not budget > 0:
+        raise ConfigError(f"budget must be positive, got {budget}")
 
 
 def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[int]:
@@ -256,9 +274,7 @@ def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[
             f"feature set was fitted against {features.ground_size} sentences, "
             f"but this ground set has {len(ground)}"
         )
-    if cost_mode not in COST_MODES:
-        raise ConfigError(f"unknown cost mode {cost_mode!r}; expected one of: {', '.join(COST_MODES)}")
-    return ground.source.lens.tolist() if cost_mode == "words" else [1] * len(ground)
+    return sentence_costs(ground, cost_mode).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +483,7 @@ def _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, st
 
 
 def _run_greedy(problem, concave, budget, cost_mode, variant) -> SelectionState:
-    if budget <= 0:
-        raise ConfigError(f"budget must be positive, got {budget}")
+    check_budget(budget)
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of: {', '.join(VARIANTS)}")
     if problem.n_rows and min(problem.costs) > budget:

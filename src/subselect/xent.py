@@ -19,7 +19,7 @@ from typing import Sequence
 from .corpus import Corpus, TokenStream, as_stream
 from .errors import ConfigError
 from .lm import NgramLanguageModel, _log_probs, _padded, _train, corpus_vocab
-from .submodular import SelectionState, SelectionStep
+from .submodular import SelectionState, SelectionStep, check_budget, sentence_costs
 
 
 @dataclass(frozen=True)
@@ -100,43 +100,23 @@ def _rank_key(scored: ScoredSentence):
 def rank_and_select(
     ground: Corpus,
     scores: list[ScoredSentence],
-    n: int | None = None,
-    budget_words: float | None = None,
+    budget: float,
+    cost_mode: str = "words",
 ) -> SelectionState:
-    """Take the best-scoring sentences, by count or by word budget.
+    """Take the longest score-ordered prefix whose cost fits the budget.
 
-    Exactly one of ``n`` (top-N) and ``budget_words`` must be given. The
-    budget form takes the longest score-ordered prefix whose cumulative
-    source-word cost fits: the walk stops at the first sentence that
-    does not fit rather than skipping it, keeping the output a pure
-    ranking prefix.
+    Costs are the greedy's (``sentence_costs``): under ``"unit"`` costs
+    the budget is a sentence count, so this is top-N. The walk stops at
+    the first sentence that does not fit rather than skipping it,
+    keeping the output a pure ranking prefix.
     """
-    if (n is None) == (budget_words is None):
-        raise ConfigError("exactly one of n and budget_words must be given")
-    if n is not None and n <= 0:
-        raise ConfigError(f"selection size must be positive, got {n}")
-    if budget_words is not None and budget_words <= 0:
-        raise ConfigError(f"word budget must be positive, got {budget_words}")
-
-    ranked = sorted(scores, key=_rank_key)
-    costs = ground.source.lens.tolist()
-    state = SelectionState(
-        budget=float(budget_words if budget_words is not None else n),
-        cost_mode="words" if budget_words is not None else "unit",
-        variant="rank",
-    )
-    for scored in ranked:
-        if n is not None:
-            if len(state.selected) >= n:
-                break
-            step_cost = 1
-        else:
-            step_cost = costs[scored.id]
-            if state.spent + step_cost > budget_words:
-                break
-        state.spent += step_cost
+    check_budget(budget)
+    costs = sentence_costs(ground, cost_mode).tolist()
+    state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant="rank")
+    for scored in sorted(scores, key=_rank_key):
+        if state.spent + costs[scored.id] > budget:
+            break
+        state.spent += costs[scored.id]
         state.selected.append(scored.id)
-        state.trajectory.append(
-            SelectionStep(scored.id, scored.score, scored.score, state.spent)
-        )
+        state.trajectory.append(SelectionStep(scored.id, scored.score, scored.score, state.spent))
     return state

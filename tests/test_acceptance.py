@@ -179,7 +179,7 @@ def test_05_coverage_selection_beats_ranking_on_redundancy():
 
     lm_in, lm_out = train_domain_pair(in_domain, out_domain, order=2)
     scores = score_corpus(ground, lm_in, lm_out)
-    xent_state = rank_and_select(ground, scores, n=10)
+    xent_state = rank_and_select(ground, scores, 10, "unit")
     assert sorted(xent_state.selected) == list(range(10)), (
         "ranking was expected to take exactly the ten duplicates"
     )

@@ -123,6 +123,12 @@ class TestTrainLmAndScore:
         ])
         assert rc == 2
 
+    def test_non_finite_add_k_exits_2_before_writing(self, corpora):
+        tmp, ground, _ = corpora
+        out = tmp / "m.lm"
+        assert main(["train-lm", "--src", ground, "--smoothing", "add-k:nan", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_malformed_model_exits_2(self, corpora):
         # a fractional count, which loading used to truncate silently
         tmp, ground, _ = corpora
@@ -193,6 +199,29 @@ class TestSelect:
     def test_zero_threads_exit_2(self, corpora, method):
         tmp, ground, in_domain = corpora
         rc, out_dir = self.run_select(tmp, ground, in_domain, "t0", "--method", method, "--threads", "0")
+        assert rc == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("method", ["submod", "xent", "both"])
+    def test_nan_word_budget_exits_2_before_writing(self, corpora, method):
+        tmp, ground, in_domain = corpora
+        out_dir = tmp / "nan"
+        rc = main([
+            "select", "--method", method, "--in-domain-src", in_domain, "--ground-src", ground,
+            "--budget-words", "nan", "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("method", ["xent", "both"])
+    @pytest.mark.parametrize("flag", [
+        ("--lm-smoothing", "bogus"), ("--lm-smoothing", "add-k:inf"), ("--lm-smoothing", "add-k:nan"),
+        ("--lm-order", "0"), ("--unk-floor", "0"),
+    ], ids=" ".join)
+    def test_bad_lm_settings_exit_2_before_writing(self, corpora, method, flag):
+        # checked before loading, so `both` writes no submod files first
+        tmp, ground, in_domain = corpora
+        rc, out_dir = self.run_select(tmp, ground, in_domain, "lm", "--method", method, *flag)
         assert rc == 2
         assert not out_dir.exists()
 

@@ -45,6 +45,12 @@ class TestParseSmoothing:
             with pytest.raises(ConfigError):
                 parse_smoothing(text)
 
+    @pytest.mark.parametrize("text", ["add-k:nan", "add-k:inf"])
+    def test_non_finite_add_k_rejected(self, text):
+        # load_lm refuses a non-finite add_k, so training must not write one
+        with pytest.raises(ConfigError, match="finite"):
+            parse_smoothing(text)
+
 
 class TestTrainValidation:
     def test_order_must_be_positive(self):

@@ -103,7 +103,9 @@ class TestBruteForce:
         ([{"u": 1.0}], [0]),
         ([{"u": 1.0}], [1.5]),
         ([{"u": 1.0}, {"v": 1.0}], [1]),
-    ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch"])
+        ([{"u": 1.0}], [math.nan]),
+        ([{"u": 1.0}], [math.inf]),
+    ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch", "nan-cost", "infinite-cost"])
     def test_bad_vector_instance_rejected_as_the_greedy_rejects_it(self, vectors, costs):
         with pytest.raises(ConfigError) as greedy_error:
             greedy_select_vectors(vectors, costs, SQRT, budget=1)
@@ -217,6 +219,10 @@ class TestReports:
         assert m.spent == 4
         assert m.objective > 0
 
+    def test_method_metrics_rejects_unknown_cost_mode(self):
+        with pytest.raises(ConfigError, match="cost mode"):
+            method_metrics(self.ground, self.features, SQRT, "submod", [0, 2], "sentences")
+
     def test_build_report_runs_oracle_on_small_instances(self):
         state = greedy_select(self.ground, self.features, SQRT, budget=4, cost_mode="words")
         report = build_report(
@@ -227,8 +233,9 @@ class TestReports:
         assert report.greedy_ratio <= 1.0 + 1e-12
 
     def test_build_report_skips_oracle_when_told(self):
+        # a budget of 0.0 is the report command's "no budget known"
         report = build_report(
-            self.ground, self.features, SQRT, [("submod", [0])], 4, "words", include_oracle=False
+            self.ground, self.features, SQRT, [("submod", [0])], 0.0, "words"
         )
         assert report.optimal_objective is None
         assert report.greedy_ratio is None

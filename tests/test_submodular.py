@@ -255,6 +255,15 @@ class TestGreedyBehavior:
         with pytest.raises(ConfigError):
             greedy_select_vectors(FIXTURE, [1, 0, 1], SQRT, budget=2)
 
+    def test_nan_budget_rejected(self):
+        rng = random.Random(2)
+        ground = make_corpus(rng, 4)
+        features = fit_idf(extract_feature_set(ground, 1), ground)
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            greedy_select(ground, features, SQRT, budget=math.nan)
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            greedy_select_vectors(FIXTURE, UNIT, SQRT, budget=math.nan)
+
 
 class TestLazyMatchesNaive:
     def test_identical_trajectories_on_random_instances(self):

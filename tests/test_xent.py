@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rank_reference import rank_and_select_reference
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError
 from subselect.lm import train_lm
@@ -118,19 +121,19 @@ class TestRankAndSelect:
             ScoredSentence(1, 2.0, 5),
             ScoredSentence(2, 1.0, 2),
         ]
-        state = rank_and_select(self.GROUND(), scores, n=2)
+        state = rank_and_select(self.GROUND(), scores, 2, "unit")
         assert state.selected == [1, 2]
         assert state.spent == 2
         assert state.cost_mode == "unit"
 
     def test_ties_break_to_lower_id(self):
         scores = [ScoredSentence(i, 1.0, 1) for i in range(3)]
-        state = rank_and_select(self.GROUND(), scores, n=2)
+        state = rank_and_select(self.GROUND(), scores, 2, "unit")
         assert state.selected == [0, 1]
 
     def test_n_beyond_population_takes_everything(self):
         scores = [ScoredSentence(i, float(i), 1) for i in range(3)]
-        state = rank_and_select(self.GROUND(), scores, n=10)
+        state = rank_and_select(self.GROUND(), scores, 10, "unit")
         assert state.selected == [2, 1, 0]
 
     def test_word_budget_keeps_a_pure_ranking_prefix(self):
@@ -141,7 +144,7 @@ class TestRankAndSelect:
         ]
         # the best sentence fits; the runner-up does not, and the walk must
         # stop there even though the third would still fit
-        state = rank_and_select(self.GROUND(), scores, budget_words=5)
+        state = rank_and_select(self.GROUND(), scores, 5, "words")
         assert state.selected == [0]
         assert state.spent == 3
         assert state.cost_mode == "words"
@@ -152,16 +155,16 @@ class TestRankAndSelect:
             ScoredSentence(1, 2.0, 5),
             ScoredSentence(2, 1.0, 2),
         ]
-        base_n = rank_and_select(self.GROUND(), scores, n=2).selected
-        base_b = rank_and_select(self.GROUND(), scores, budget_words=5).selected
+        base_n = rank_and_select(self.GROUND(), scores, 2, "unit").selected
+        base_b = rank_and_select(self.GROUND(), scores, 5, "words").selected
         for shift in (-10.0, 3.25, 1e6):
             shifted = [ScoredSentence(s.id, s.score + shift, s.length) for s in scores]
-            assert rank_and_select(self.GROUND(), shifted, n=2).selected == base_n
-            assert rank_and_select(self.GROUND(), shifted, budget_words=5).selected == base_b
+            assert rank_and_select(self.GROUND(), shifted, 2, "unit").selected == base_n
+            assert rank_and_select(self.GROUND(), shifted, 5, "words").selected == base_b
 
     def test_budget_too_small_for_the_leader_selects_nothing(self):
         scores = [ScoredSentence(0, 2.0, 3), ScoredSentence(2, 1.0, 2)]
-        state = rank_and_select(self.GROUND(), scores, budget_words=2)
+        state = rank_and_select(self.GROUND(), scores, 2, "words")
         assert state.selected == []
         assert state.spent == 0
 
@@ -171,7 +174,7 @@ class TestRankAndSelect:
             ScoredSentence(2, 1.0, 2),
             ScoredSentence(1, 0.5, 5),
         ]
-        state = rank_and_select(self.GROUND(), scores, budget_words=5)
+        state = rank_and_select(self.GROUND(), scores, 5, "words")
         assert state.selected == [0, 2]
         assert state.spent == 5
 
@@ -181,7 +184,7 @@ class TestRankAndSelect:
             ScoredSentence(1, -4.0, 5),
             ScoredSentence(2, 1.0, 2),
         ]
-        state = rank_and_select(self.GROUND(), scores, n=3)
+        state = rank_and_select(self.GROUND(), scores, 3, "unit")
         assert state.selected == [2, 1, 0]
 
     def test_negative_infinity_ranks_below_finite_but_above_undefined(self):
@@ -190,28 +193,32 @@ class TestRankAndSelect:
             ScoredSentence(1, float("nan"), 5, defined=False),
             ScoredSentence(2, -100.0, 2),
         ]
-        state = rank_and_select(self.GROUND(), scores, n=3)
+        state = rank_and_select(self.GROUND(), scores, 3, "unit")
         assert state.selected == [2, 0, 1]
 
     def test_trajectory_records_scores_and_spending(self):
         scores = [ScoredSentence(0, 2.0, 3), ScoredSentence(2, 1.0, 2)]
-        state = rank_and_select(self.GROUND(), scores, budget_words=10)
+        state = rank_and_select(self.GROUND(), scores, 10, "words")
         assert [(s.sentence_id, s.cumulative_cost) for s in state.trajectory] == [(0, 3), (2, 5)]
         assert [s.gain for s in state.trajectory] == [2.0, 1.0]
 
-    def test_exactly_one_mode_required(self):
+    def test_unknown_cost_mode_rejected(self):
         scores = [ScoredSentence(0, 1.0, 3)]
-        with pytest.raises(ConfigError):
-            rank_and_select(self.GROUND(), scores)
-        with pytest.raises(ConfigError):
-            rank_and_select(self.GROUND(), scores, n=1, budget_words=5)
+        with pytest.raises(ConfigError, match="cost mode"):
+            rank_and_select(self.GROUND(), scores, 5, "sentences")
+
+    @pytest.mark.parametrize("cost_mode", ["words", "unit"])
+    def test_nan_budget_rejected(self, cost_mode):
+        scores = [ScoredSentence(0, 1.0, 3)]
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            rank_and_select(self.GROUND(), scores, math.nan, cost_mode)
 
     def test_non_positive_limits_rejected(self):
         scores = [ScoredSentence(0, 1.0, 3)]
         with pytest.raises(ConfigError):
-            rank_and_select(self.GROUND(), scores, n=0)
+            rank_and_select(self.GROUND(), scores, 0, "unit")
         with pytest.raises(ConfigError):
-            rank_and_select(self.GROUND(), scores, budget_words=0)
+            rank_and_select(self.GROUND(), scores, 0, "words")
 
 
 class TestRedundancyBlindness:
@@ -220,5 +227,46 @@ class TestRedundancyBlindness:
         ground = corpus_of("a b", "a b", "a b", "c d")
         scores = score_corpus(ground, lm_in, lm_out)
         assert scores[0].score == scores[1].score == scores[2].score
-        state = rank_and_select(ground, scores, n=3)
+        state = rank_and_select(ground, scores, 3, "unit")
         assert state.selected == [0, 1, 2]
+
+
+# scores with ties, -inf and undefined entries, for a subset of a pool in any order
+_SCORE = st.one_of(
+    st.sampled_from([float("-inf"), -1.0, 0.0, 0.5, 2.0]).map(lambda x: (x, True)),
+    st.just((float("nan"), False)),
+)
+
+
+@st.composite
+def ranking_instances(draw):
+    lens = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    ground = Corpus(tuple(Sentence(i, ("w",) * n) for i, n in enumerate(lens)))
+    ids = draw(st.permutations(range(len(lens))))
+    ids = ids[: draw(st.integers(0, len(ids)))]
+    scores = []
+    for i in ids:
+        score, defined = draw(_SCORE)
+        scores.append(ScoredSentence(i, score, lens[i], defined))
+    return ground, scores
+
+
+def _same_state(new, old):
+    assert new.selected == old.selected
+    assert repr(new.trajectory) == repr(old.trajectory)  # repr: a NaN score equals itself
+    assert (new.spent, new.budget, new.cost_mode, new.variant) == (old.spent, old.budget, old.cost_mode, old.variant)
+
+
+class TestMatchesReference:
+    """``(budget, cost_mode)`` against the former ``n=`` / ``budget_words=`` forms."""
+
+    @given(ranking_instances(), st.integers(1, 15))
+    def test_unit_budget_is_top_n(self, instance, k):
+        ground, scores = instance
+        _same_state(rank_and_select(ground, scores, k, "unit"), rank_and_select_reference(ground, scores, n=k))
+
+    @given(ranking_instances(), st.one_of(st.integers(1, 50).map(float), st.floats(1e-3, 50.0)))
+    def test_word_budget_is_budget_words(self, instance, b):
+        ground, scores = instance
+        _same_state(rank_and_select(ground, scores, b, "words"),
+                    rank_and_select_reference(ground, scores, budget_words=b))
