@@ -445,7 +445,7 @@ def fit_idf(features: FeatureSet, ground: Corpus) -> FeatureSet:
 
 def _check_fitted(features: FeatureSet) -> None:
     if not features.fitted:
-        raise StateError("feature set is unfitted; call fit_idf before featurize")
+        raise StateError("feature set is unfitted; call fit_idf first")
 
 
 def _relevance(features: FeatureSet, pairs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -486,7 +486,8 @@ def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
     col_of[active] = np.arange(len(active), dtype=np.int32)
     row, position, relevance = _relevance(features, features._pairs(sentences))
     col = col_of[position]
-    by_col = np.lexsort((col, row))
+    # one int64 key per (row, col) pair, each pair unique: the lexsort order, faster
+    by_col = np.argsort(row.astype(np.int64) * len(active) + col, kind="stable")
     row = row[by_col]
     indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=len(sentences)), out=indptr[1:])

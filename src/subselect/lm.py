@@ -12,14 +12,16 @@ sorted-array layout of Heafield's KenLM; see ``ngramkeys``). Token ids
 follow string order: the sorted vocabulary, then the end, unknown and
 start markers. Training maps the corpus's token ids to the model's
 through one lookup per distinct token and counts each order's windows
-with ``np.unique``. ``save_lm`` writes the v1 JSON file
-from the tables, and ``load_lm`` reads it straight back into tables. It
-checks the file as it loads: counts, orders, tokens and histories.
-Every probability comes from one kernel, ``_event_probs``, which applies
-the smoothing rule to a batch of events against the tables, one order at
-a time: ``log_probs`` over whole sentences, ``conditional_prob`` over one
-history and word. ``counts`` is a tuple-keyed view for inspection that
-decodes an order when it is first read.
+with ``np.unique``. ``save_lm`` writes the v1 JSON file from the tables,
+and ``load_lm`` reads it straight back into tables. It checks the file
+as it loads: counts, orders, tokens and histories.
+Every probability comes from one kernel, ``_event_probs``: per order it
+interns a batch's own k-grams once, maps each distinct one into the
+tables of every model given (models that share one id map), and applies
+each model's smoothing rule. ``log_probs`` and ``score_corpus`` feed it
+``_CHUNK`` sentences at a time, ``conditional_prob`` one history and
+word. ``counts`` is a tuple-keyed view for inspection that decodes an
+order when it is first read.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError
-from .ngramkeys import _LazyMapping, depths, rank
+from .features import _CHUNK
+from .ngramkeys import _LazyMapping, chain_ranks, depths, rank
 
 BOS = "<s>"
 EOS = "</s>"
@@ -75,29 +78,32 @@ def _token_ids(vocab) -> dict[str, int]:
 
 
 def _padded(
-    stream: TokenStream, ids: dict[str, int], order: int, markers: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The id sequences a stream's sentences are counted and scored over, concatenated.
+    stream: TokenStream, ids: dict[str, int], order: int, markers: bool, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The id sequences a stream's sentences are counted and scored over, ``chunk`` sentences at a time.
 
     Tokens outside the vocabulary become the unknown marker; literal
     marker strings in running text are out-of-vocabulary too. With
     markers each sequence is start-padded to a full history and ends with
-    the end marker, whose event is scored. Returns the token ids, each
-    sentence's sequence length, each position's depth (the tokens before
-    it in its sequence) and the depth of every sentence's first event.
+    the end marker, whose event is scored. Yields per chunk the token ids
+    end to end, each sequence's length, each position's depth (the tokens
+    before it in its sequence) and the depth of every first event.
     """
     eos, unk, bos = len(ids) - 3, len(ids) - 2, len(ids) - 1
-    n_words = stream.lens
     words = stream.lookup(ids, unk)
     words[words >= eos] = unk  # marker strings in running text
+    edges = np.concatenate([[0], np.cumsum(stream.lens)])
     first = order - 1 if markers else 0
-    lens = n_words + (first + 1 if markers else 0)
-    starts = np.cumsum(lens) - lens
-    tok = np.full(int(lens.sum()), bos, dtype=np.int64)
-    tok[np.repeat(starts + first, n_words) + depths(n_words)] = words
-    if markers:
-        tok[starts + lens - 1] = eos
-    return tok, lens, depths(lens), first
+    for start in range(0, len(stream), chunk):
+        stop = min(start + chunk, len(stream))
+        n_words = stream.lens[start:stop]
+        lens = n_words + (first + 1 if markers else 0)
+        starts = np.cumsum(lens) - lens
+        tok = np.full(int(lens.sum()), bos, dtype=np.int64)
+        tok[np.repeat(starts + first, n_words) + depths(n_words)] = words[edges[start] : edges[stop]]
+        if markers:
+            tok[starts + lens - 1] = eos
+        yield tok, lens, depths(lens), first
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ class NgramLanguageModel:
         hist = list(history)[-(self.order - 1) :] if self.order > 1 else []
         unk = self.ids[UNK]
         tok = np.array([self.ids.get(t, unk) for t in [*hist, word]], dtype=np.int64)
-        return _event_probs(self, tok, np.arange(len(tok)), len(hist)).item()
+        return _event_probs([self], tok, np.arange(len(tok)), len(hist))[0].item()
 
 
 def train_lm(
@@ -271,7 +277,7 @@ def _train(
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
     ids = _token_ids(vocab - {BOS, EOS, UNK})
-    tok, _, depth, first = _padded(corpus.source, ids, order, markers)
+    [(tok, _, depth, first)] = _padded(corpus.source, ids, order, markers, len(corpus))
     tables = _count(tok, depth, first, order, len(ids))
     return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
@@ -295,69 +301,78 @@ def log_probs(lm: NgramLanguageModel, sentences: Iterable[Sentence | Sequence[st
     probabilities, each exactly the ``conditional_prob`` of that event
     (with marker strings in the text read as the unknown marker).
     """
-    return _log_probs(lm, _padded(as_stream(sentences), lm.ids, lm.order, lm.markers))
+    return _log_probs([lm], as_stream(sentences))[0]
 
 
-def _event_probs(lm: NgramLanguageModel, tok: np.ndarray, depth: np.ndarray, first: int) -> np.ndarray:
-    """The probability of every event in a stream of model ids, in stream order.
+def _event_probs(
+    models: Sequence[NgramLanguageModel], tok: np.ndarray, depth: np.ndarray, first: int
+) -> list[np.ndarray]:
+    """Each model's probability of every event in a stream of ids, in stream order.
 
-    ``depth`` is each position's index within its sequence, and the
-    events are the positions at depth ``first`` or more. Each is
-    predicted from up to order-1 tokens before it in its sequence.
+    The models share one id map and order. ``depth`` is each position's
+    index within its sequence; the events are the positions at depth
+    ``first`` or more, each predicted from up to order-1 tokens before it.
+    Per order the stream's k-grams are interned once (``chain_ranks``) and
+    each distinct one is mapped into every model's tables for the events.
     """
-    tables = lm.tables
-    base = len(lm.ids)
-    prev_tok = np.zeros_like(tok)
-    prev_tok[1:] = tok[:-1]
+    order, base, v = models[0].order, len(models[0].ids), models[0].event_vocab_size
     events = np.flatnonzero(depth >= first)
-    word = tok[events]
     # each event's history length: order-1, or fewer near a sequence start
-    top = np.minimum(depth[events], lm.order - 1)
+    top = np.minimum(depth[events], order - 1)
+    ps = [np.full(len(events), 1.0 / v) for _ in models]
+    # the stream's distinct (k-1)-gram keys (the empty gram's is 0) and each model's history rank of their prefixes
+    prev = np.zeros(1, dtype=np.int64)
+    prev_hist = [prev] * len(models)
+    for k, (grams, ranks) in enumerate(chain_ranks(tok, depth, order, base), start=1):
+        gram = ranks[events]  # -1 where an event has fewer than k-1 tokens before it
+        has = np.flatnonzero(gram >= 0)
+        parent, last = grams // base, grams % base
+        for i, (lm, p) in enumerate(zip(models, ps)):
+            table = lm.tables[k - 1]
+            # each distinct (k-1)-gram's rank among the model's histories, each k-gram's among its n-grams
+            hist_of = rank(table.hist_keys, prev_hist[i][prev // base], prev % base, base, distinct=True)
+            gram_of = rank(table.keys, hist_of[parent], last, base, distinct=True)
+            prev_hist[i] = hist_of
+            h = np.full(len(events), -1, dtype=np.int64)
+            h[has] = hist_of[parent[gram[has]]]
+            c_hist = _at(table.hist_total, h)
+            if lm.smoothing == "interpolated-wb":
+                # interpolated Witten-Bell: blend the MLE with the next-shorter
+                # history's value where the history was seen, bottoming out at
+                # the uniform distribution over predictable events
+                sel = np.flatnonzero(c_hist > 0)
+            else:
+                sel = np.flatnonzero(top == k - 1)
+            h, c_hist = h[sel], c_hist[sel]
+            c = _at(table.counts, gram_of[gram[sel]])
+            if lm.smoothing == "interpolated-wb":
+                n = _at(table.hist_types, h)
+                p[sel] = (c + n * p[sel]) / (c_hist + n)
+            elif lm.smoothing == "mle":
+                # an unseen history has c == 0, so the clamp yields 0.0
+                p[sel] = c / np.maximum(c_hist, 1)
+            else:
+                p[sel] = (c + lm.add_k) / (c_hist + lm.add_k * v)
+        prev = grams
+    return ps
 
-    v = lm.event_vocab_size
-    p = np.full(len(events), 1.0 / v)
-    # rank of the k-1 tokens before each position among the histories of
-    # that length; -1 where unseen or where the sentence has fewer before it
-    hist = _empty_history(tables, len(tok))
-    for k, table in enumerate(tables, start=1):
-        if k > 1:
-            parent = np.full(len(tok), -1, dtype=np.int64)
-            parent[1:] = hist[:-1]
-            parent[depth < k - 1] = -1
-            hist = rank(table.hist_keys, parent, prev_tok, base)
-        h = hist[events]
-        c_hist = _at(table.hist_total, h)
-        if lm.smoothing == "interpolated-wb":
-            # interpolated Witten-Bell: blend the MLE with the next-shorter
-            # history's value where the history was seen, bottoming out at
-            # the uniform distribution over predictable events
-            sel = np.flatnonzero(c_hist > 0)
-        else:
-            sel = np.flatnonzero(top == k - 1)
-        h, c_hist = h[sel], c_hist[sel]
-        c = _at(table.counts, rank(table.keys, h, word[sel], base))
-        if lm.smoothing == "interpolated-wb":
-            n = _at(table.hist_types, h)
-            p[sel] = (c + n * p[sel]) / (c_hist + n)
-        elif lm.smoothing == "mle":
-            # an unseen history has c == 0, so the clamp yields 0.0
-            p[sel] = c / np.maximum(c_hist, 1)
-        else:
-            p[sel] = (c + lm.add_k) / (c_hist + lm.add_k * v)
-    return p
 
+def _log_probs(models: Sequence[NgramLanguageModel], stream: TokenStream) -> list[list[float]]:
+    """``log_probs`` of a stream under each of some models that share one id map and order.
 
-def _log_probs(lm: NgramLanguageModel, padded: tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> list[float]:
-    """``log_probs`` over sentences ``_padded`` with the model's ids, order and markers."""
-    tok, lens, depth, first = padded
-    probs = iter(_event_probs(lm, tok, depth, first).tolist())
-    out: list[float] = []
-    for n_events in (lens - first).tolist():
-        total = 0.0
-        for q in islice(probs, n_events):
-            total += math.log(q) if q > 0.0 else -math.inf
-        out.append(total)
-    return out
+    Padded and scored ``_CHUNK`` sentences at a time, so temporaries stay small on any pool.
+    """
+    lm = models[0]
+    outs: list[list[float]] = [[] for _ in models]
+    for tok, lens, depth, first in _padded(stream, lm.ids, lm.order, lm.markers, _CHUNK):
+        for out, p in zip(outs, _event_probs(models, tok, depth, first)):
+            probs = iter(p.tolist())
+            for n_events in (lens - first).tolist():
+                total = 0.0
+                for q in islice(probs, n_events):
+                    total += math.log(q) if q > 0.0 else -math.inf
+                out.append(total)
+    return outs
 
 
 def log_prob(lm: NgramLanguageModel, x: Sentence | Sequence[str]) -> float:

@@ -42,16 +42,20 @@ class _LazyMapping(Mapping):
         return iter(self._decoded)
 
 
-def rank(sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int) -> np.ndarray:
+def rank(
+    sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int, distinct: bool = False
+) -> np.ndarray:
     """Index of each key ``base * parent + token`` in ``sorted_keys``.
 
-    -1 where the key is absent or the parent rank is -1.
+    -1 where the key is absent or the parent rank is -1. ``distinct``
+    says the keys are already distinct, so none is looked up twice.
     """
     out = np.full(len(parent), -1, dtype=np.int64)
     ok = np.flatnonzero(parent >= 0)
     if len(sorted_keys) and len(ok):
+        query = parent[ok] * base + token[ok]
         # look each distinct key up once; real text repeats most of them
-        query, inverse = np.unique(parent[ok] * base + token[ok], return_inverse=True)
+        query, inverse = (query, slice(None)) if distinct else np.unique(query, return_inverse=True)
         idx = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
         out[ok] = np.where(sorted_keys[idx] == query, idx, -1)[inverse]
     return out

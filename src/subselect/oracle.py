@@ -19,8 +19,8 @@ import numpy as np
 
 from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
-from .features import FeatureSet, FeatureVector, _relevance, count_ngrams
-from .submodular import DEFAULT_CONCAVE, ConcaveSpec, objective, reference_gain, sentence_costs
+from .features import FeatureSet, FeatureVector, _check_fitted, _relevance, count_ngrams
+from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, objective, reference_gain, sentence_costs
 from .submodular import _corpus_costs, _vector_instance
 
 ORACLE_MAX_SENTENCES = 20
@@ -232,8 +232,10 @@ def method_metrics(
     """Objective, spent cost, and coverage stats for one finished selection.
 
     The objective is ``objective`` over the selection's feature vectors
-    in selection order, so it equals ``evaluate`` bit for bit.
+    in selection order, so it equals ``evaluate`` bit for bit. The
+    feature set must be fitted.
     """
+    _check_fitted(features)
     selection = ground.source.take(selected_ids)
     spent = int(sentence_costs(selection, cost_mode).sum())
     pairs = features._index.pairs(selection)
@@ -256,9 +258,12 @@ def build_report(
     """Assemble a ComparisonReport from finished selections.
 
     The oracle fields are filled exactly when the budget is positive and
-    the ground set is small enough to enumerate; a budget of 0 stands for
-    an unknown one, under which there is no optimum to compare against.
+    the ground set is small enough to enumerate. A budget of 0 stands for
+    an unknown one (``report`` knows none), with no optimum to compare
+    against; any other must pass ``check_budget``, so NaN raises.
     """
+    if budget != 0:
+        check_budget(budget)
     report = ComparisonReport(
         budget=float(budget),
         cost_mode=cost_mode,

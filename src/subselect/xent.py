@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Corpus, TokenStream, as_stream
 from .errors import ConfigError
-from .lm import NgramLanguageModel, _log_probs, _padded, _train, corpus_vocab
+from .lm import NgramLanguageModel, _log_probs, _train, corpus_vocab
 from .submodular import SelectionState, SelectionStep, check_budget, sentence_costs
 
 
@@ -45,11 +45,10 @@ def _score(
     """Scores of a stream's sentences, which carry these sentence ids."""
     _check_pair(lm_in, lm_out)
     # orders and markers agree, so a pair over one vocabulary, as trained
-    # pairs are, scores one id stream
-    padded_in = _padded(stream, lm_in.ids, lm_in.order, lm_in.markers)
-    padded_out = padded_in if lm_out.ids == lm_in.ids else _padded(stream, lm_out.ids, lm_out.order, lm_out.markers)
+    # pairs are, scores one id stream in one pass
+    groups = [[lm_in, lm_out]] if lm_out.ids == lm_in.ids else [[lm_in], [lm_out]]
+    lp_ins, lp_outs = (lp for models in groups for lp in _log_probs(models, stream))
     scored = []
-    lp_ins, lp_outs = _log_probs(lm_in, padded_in), _log_probs(lm_out, padded_out)
     for sid, cost, lp_in, lp_out in zip(ids, stream.lens.tolist(), lp_ins, lp_outs):
         diff = lp_in - lp_out
         if math.isnan(diff):
@@ -69,7 +68,7 @@ def xent_score(sentence, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) 
 
 
 def score_corpus(ground: Corpus, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> list[ScoredSentence]:
-    """Score every ground sentence, in id order, in one batch per model."""
+    """Score every ground sentence, in id order."""
     return _score(ground.source, range(len(ground)), lm_in, lm_out)
 
 

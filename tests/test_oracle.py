@@ -223,6 +223,17 @@ class TestReports:
         with pytest.raises(ConfigError, match="cost mode"):
             method_metrics(self.ground, self.features, SQRT, "submod", [0, 2], "sentences")
 
+    def test_method_metrics_rejects_an_unfitted_set(self):
+        # every idf is NaN, so the selection would score 0.0 on both counts
+        unfitted = extract_feature_set(corpus_of("a b", "c d", "b c"), 2)
+        with pytest.raises(StateError, match="unfitted"):
+            method_metrics(self.ground, unfitted, SQRT, "submod", [0, 2], "words")
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_build_report_rejects_a_bad_budget(self, budget):
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            build_report(self.ground, self.features, SQRT, [("submod", [0])], budget, "words")
+
     def test_build_report_runs_oracle_on_small_instances(self):
         state = greedy_select(self.ground, self.features, SQRT, budget=4, cost_mode="words")
         report = build_report(

@@ -1,13 +1,17 @@
 import math
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lm_reference as ref
 from rank_reference import rank_and_select_reference
+from subselect import lm as lm_module
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError
-from subselect.lm import train_lm
+from subselect.lm import corpus_vocab, load_lm, log_probs, save_lm, train_lm
 from subselect.xent import (
     ScoredSentence,
     rank_and_select,
@@ -270,3 +274,92 @@ class TestMatchesReference:
         ground, scores = instance
         _same_state(rank_and_select(ground, scores, b, "words"),
                     rank_and_select_reference(ground, scores, budget_words=b))
+
+
+IN_DOMAIN = ("a b c", "b c a a", "c a b")
+OUT_DOMAIN = ("c c b", "b d", "d d a c", "a d b d")
+# seven sentences with unknown tokens, two of them all unknown, over three 3-sentence chunks
+GROUND = ("a b c", "zzz yyy", "b d a b", "c c a zzz", "a", "qqq", "d d d", "b c a a d")
+
+
+def scoring_pair(kind, smoothing, tmp_path):
+    """An order-3 pair as ``select`` trains it, or as ``score`` loads it from files."""
+    in_domain, out_domain = corpus_of(*IN_DOMAIN), corpus_of(*OUT_DOMAIN)
+    if kind == "trained":
+        return train_domain_pair(in_domain, out_domain, order=3, smoothing=smoothing)
+    # staged files: with each other's vocabulary (--extra-vocab-src) they share
+    # one id map; without, the in-domain model lacks "d"
+    extra = (corpus_vocab(out_domain), corpus_vocab(in_domain)) if kind == "files-shared" else (None, None)
+    models = []
+    for name, corpus, vocab in zip(("in", "out"), (in_domain, out_domain), extra):
+        save_lm(train_lm(corpus, order=3, smoothing=smoothing, extra_vocab=vocab), tmp_path / f"{name}.json")
+        models.append(load_lm(tmp_path / f"{name}.json"))
+    return models
+
+
+PAIR_KINDS = ["trained", "files-shared", "files-own"]
+SMOOTHINGS = ["interpolated-wb", "mle", "add-k:0.5"]
+
+
+class TestChunkedScoring:
+    """The pool is scored a few sentences at a time, both models in one pass when their ids agree."""
+
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_chunks_score_like_single_sentences(self, kind, smoothing, tmp_path, monkeypatch):
+        lm_in, lm_out = scoring_pair(kind, smoothing, tmp_path)
+        assert (lm_in.ids == lm_out.ids) == (kind != "files-own")
+        monkeypatch.setattr(lm_module, "_CHUNK", 3)
+        ground = corpus_of(*GROUND)
+        scored = score_corpus(ground, lm_in, lm_out)
+        # repr: an undefined score is NaN, which equals nothing
+        assert repr(scored) == repr([xent_score(sentence, lm_in, lm_out) for sentence in ground])
+        for s, sentence in zip(scored, ground):
+            tokens = sentence.source_tokens
+            diff = ref.log_prob(lm_in, tokens) - ref.log_prob(lm_out, tokens)
+            assert repr(s.score) == repr(diff if math.isnan(diff) else diff / len(tokens))
+
+    @pytest.mark.parametrize("smoothing", SMOOTHINGS)
+    def test_pair_kernel_covers_empty_sentences(self, smoothing, tmp_path, monkeypatch):
+        lm_in, lm_out = scoring_pair("trained", smoothing, tmp_path)
+        monkeypatch.setattr(lm_module, "_CHUNK", 3)
+        texts = [(), *(tuple(line.split()) for line in GROUND), (), ("zzz",), ()]
+        stream = Corpus(tuple(Sentence(i, t) for i, t in enumerate(texts))).source
+        pair = lm_module._log_probs([lm_in, lm_out], stream)
+        for lm, got in zip((lm_in, lm_out), pair):
+            assert got == [ref.log_prob(lm, t) for t in texts]
+            assert got == log_probs(lm, texts) == [log_probs(lm, [t])[0] for t in texts]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ground=st.lists(st.lists(st.sampled_from("abcdqz"), min_size=1, max_size=6), min_size=1, max_size=12),
+        chunk=st.integers(1, 5),
+        kind=st.sampled_from(["trained", "files-own"]),
+    )
+    def test_random_pools(self, tmp_path_factory, ground, chunk, kind):
+        lm_in, lm_out = scoring_pair(kind, "interpolated-wb", tmp_path_factory.mktemp("lm"))
+        corpus = Corpus(tuple(Sentence(i, tuple(t)) for i, t in enumerate(ground)))
+        expected = [xent_score(sentence, lm_in, lm_out) for sentence in corpus]
+        old, lm_module._CHUNK = lm_module._CHUNK, chunk
+        try:
+            assert score_corpus(corpus, lm_in, lm_out) == expected
+        finally:
+            lm_module._CHUNK = old
+
+    def test_temporaries_stay_chunk_sized(self):
+        # 10k sentences, five chunks: one batch over the whole pool peaked at about 31 MB
+        rng = random.Random(0)
+        vocab = [f"t{i}" for i in range(2000)]
+        tokens = rng.choices(vocab, weights=[1.0 / (r + 1) for r in range(2000)], k=150_000)
+        ground = Corpus(tuple(Sentence(i, tuple(tokens[15 * i : 15 * i + 15])) for i in range(10_000)))
+        in_domain = Corpus(tuple(Sentence(k, ground[j].source_tokens) for k, j in enumerate(range(0, 10_000, 10))))
+        lm_in, lm_out = train_domain_pair(in_domain, ground)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            scored = score_corpus(ground, lm_in, lm_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scored) == 10_000 and all(s.defined for s in scored)
+        assert peak - before <= 14 * 2**20
