@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError, StateError
-from .ngramkeys import chain_ranks, depths
+from .ngramkeys import chain_ranks, depths, prefix_tree, spell
 
 NGram = tuple[str, ...]
 
@@ -170,13 +170,10 @@ def _ids_of(vocab: Sequence[str]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class _NgramIndex:
-    """A feature universe as chained integer keys: a prefix tree in sorted arrays.
+    """A feature universe as one prefix tree of chained integer keys (see ``ngramkeys``).
 
     Token ids are those of the stream the index was built from, in string
-    order, so siblings sort as their n-grams do.
-    Order k's table holds the keys of the universe's k-grams and of the
-    k-token prefixes of longer features, so the chain is complete even
-    for a universe that is not prefix-closed. ``position`` maps each
+    order, so siblings sort as their n-grams do. ``position`` maps each
     table entry to its feature's index in the set, -1 for a prefix that
     is no feature. Only the first ``max_order`` tables are looked up.
     """
@@ -191,22 +188,10 @@ class _NgramIndex:
     def build(cls, ngrams: TokenStream, max_order: int) -> _NgramIndex:
         """The index of the n-grams in a stream, one a sentence, in this set order."""
         tok_id = _ids_of(ngrams.vocab)
-        flat, lens = ngrams.ids, ngrams.lens
-        base = len(tok_id) + 1
-        starts = np.cumsum(lens) - lens
-        prefix = np.zeros(len(lens), dtype=np.int64)
-        tables: list[np.ndarray] = []
-        position: list[np.ndarray] = []
-        for k in range(1, int(lens.max(initial=0)) + 1):
-            sel = np.flatnonzero(lens >= k)
-            table, inverse = np.unique(prefix[sel] * base + flat[starts[sel] + k - 1], return_inverse=True)
-            prefix[sel] = inverse
-            pos = np.full(len(table), -1, dtype=np.int32)
-            exact = lens[sel] == k
-            pos[inverse[exact]] = sel[exact]
-            tables.append(table)
-            position.append(pos)
-        return cls(tok_id, max_order, tables, position, len(lens))
+        lens = ngrams.lens
+        levels = list(prefix_tree(ngrams.ids, lens, len(tok_id) + 1, int(lens.max(initial=0))))
+        position = [end.astype(np.int32) for _, end in levels]
+        return cls(tok_id, max_order, [table for table, _ in levels], position, len(lens))
 
     @classmethod
     def intern(cls, stream: TokenStream, max_order: int) -> tuple[_NgramIndex, np.ndarray]:
@@ -241,17 +226,12 @@ class _NgramIndex:
         count[rank_in_set] = np.concatenate([np.empty(0, dtype=np.int64), *counts])
         return cls(_ids_of(stream.vocab), max_order, tables, position, len(first)), count
 
-    def _spell(self, extend) -> list:
-        """Every feature's n-gram, built by ``extend(prefix, token)`` down the prefix tree
-        from ``None``, in set order."""
-        tokens = list(self.tok_id)
-        base = len(tokens) + 1
+    def _spell(self, joined: bool) -> list:
+        """Every feature's n-gram, spelled as ``ngramkeys.spell`` does, in set order."""
         out: list = [None] * self.size
-        prev: list = [None]
-        for table, pos in zip(self.tables, self.position):
-            last = map(tokens.__getitem__, (table % base).tolist())
-            prev = list(map(extend, map(prev.__getitem__, (table // base).tolist()), last))
-            for p, ngram in zip(pos.tolist(), prev):
+        levels = spell(self.tables, list(self.tok_id), len(self.tok_id) + 1, joined)
+        for pos, level in zip(self.position, levels):
+            for p, ngram in zip(pos.tolist(), level):
                 if p >= 0:
                     out[p] = ngram
         return out
@@ -259,11 +239,11 @@ class _NgramIndex:
     @cached_property
     def ngrams(self) -> list[NGram]:
         """Every feature's token tuple, in set order."""
-        return self._spell(lambda head, tok: (tok,) if head is None else head + (tok,))
+        return self._spell(joined=False)
 
     def joined(self) -> list[str]:
         """Every feature's tokens joined by spaces, in set order."""
-        return self._spell(lambda head, tok: tok if head is None else f"{head} {tok}")
+        return self._spell(joined=True)
 
     @cached_property
     def position_of(self) -> dict[NGram, int]:

@@ -7,21 +7,22 @@ The predicted-event space is the regular vocabulary plus the end marker
 and the unknown token, and every conditional distribution over it sums
 to one (exactly for MLE on seen histories, within rounding otherwise).
 
-A model's state is one table per order under sorted int64 keys (the
-sorted-array layout of Heafield's KenLM; see ``ngramkeys``). Token ids
-follow string order: the sorted vocabulary, then the end, unknown and
-start markers. Training maps the corpus's token ids to the model's
-through one lookup per distinct token and counts each order's windows
-with ``np.unique``. ``save_lm`` writes the v1 JSON file from the tables,
-and ``load_lm`` reads it straight back into tables. It checks the file
-as it loads: counts, orders, tokens and histories.
+A model is one n-gram prefix tree (``_OrderTable``, ``ngramkeys``).
+Token ids follow string order: the sorted vocabulary, then the end,
+unknown and start markers. Training maps the corpus's token ids to the
+model's through one lookup per distinct token, interns each order's
+windows once (``chain_ranks``) and counts the events with one
+``np.bincount``. ``load_lm`` builds the same tree from the v1 JSON file
+with ``prefix_tree``, as the feature index does, and checks the file as
+it loads: counts, orders, tokens and histories. ``save_lm`` and the
+tuple-keyed view ``counts`` (decoded an order at a time, on first read)
+spell the tree with ``spell``, as the feature index does.
 Every probability comes from one kernel, ``_event_probs``: per order it
 interns a batch's own k-grams once, maps each distinct one into the
-tables of every model given (models that share one id map), and applies
-each model's smoothing rule. ``log_probs`` and ``score_corpus`` feed it
-``_CHUNK`` sentences at a time, ``conditional_prob`` one history and
-word. ``counts`` is a tuple-keyed view for inspection that decodes an
-order when it is first read.
+tree of every model given (models that share one id map) with one
+lookup, and applies each model's smoothing rule. ``log_probs`` and
+``score_corpus`` feed it ``_CHUNK`` sentences at a time,
+``conditional_prob`` one history and word.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, EmptyCorpusError
 from .features import _CHUNK
-from .ngramkeys import _LazyMapping, chain_ranks, depths, rank
+from .ngramkeys import _LazyMapping, chain_ranks, depths, prefix_tree, rank, spell
 
 BOS = "<s>"
 EOS = "</s>"
@@ -108,45 +109,44 @@ def _padded(
 
 @dataclass(frozen=True)
 class _OrderTable:
-    """One order's counts under sorted int64 keys (see ``ngramkeys``).
+    """One level of a model's n-gram prefix tree (see ``ngramkeys``).
 
-    A history's key chains through the next-shorter histories; the empty
-    history's key is 0. An n-gram's key is ``B * rank(its history) +
-    id(its last token)``, with ``B`` token ids.
+    ``keys`` holds the order's counted n-grams and the prefixes of longer
+    ones, which count 0 unless counted themselves. An n-gram's history is
+    its parent, an entry of the level below (the root for order 1), and
+    the history statistics are indexed by the parent's rank there.
     """
 
-    hist_keys: np.ndarray  # sorted; a history's rank is its index here
-    hist_total: np.ndarray  # summed count of each history's n-grams
-    hist_types: np.ndarray  # distinct continuations of each history
-    keys: np.ndarray  # sorted n-gram keys
+    keys: np.ndarray  # sorted chained keys
     counts: np.ndarray  # aligned with keys
+    hist_total: np.ndarray  # summed count of each history's n-grams
+    hist_types: np.ndarray  # each history's continuations with a count above 0
 
 
-def _order_table(hist_keys: np.ndarray, keys: np.ndarray, counts: np.ndarray, base: int) -> _OrderTable:
-    """An order's table from its sorted history keys and its sorted n-gram keys with their counts."""
-    hist = keys // base
-    hist_total = np.zeros(len(hist_keys), dtype=np.int64)
-    np.add.at(hist_total, hist, counts)
-    return _OrderTable(hist_keys, hist_total, np.bincount(hist, minlength=len(hist_keys)), keys, counts)
+def _tree(levels: Iterable[tuple[np.ndarray, np.ndarray]], base: int) -> list[_OrderTable]:
+    """A model's tables from each level's sorted keys and their counts, level 1 first."""
+    tables: list[_OrderTable] = []
+    for keys, counts in levels:
+        parent = keys // base
+        n_hist = len(tables[-1].keys) if tables else 1  # the level below, or the root
+        hist_total = np.zeros(n_hist, dtype=np.int64)
+        np.add.at(hist_total, parent, counts)
+        tables.append(_OrderTable(keys, counts, hist_total, np.bincount(parent[counts > 0], minlength=n_hist)))
+    return tables
 
 
 def _count(tok: np.ndarray, depth: np.ndarray, first: int, order: int, base: int) -> list[_OrderTable]:
-    """One table per order from the windows of a padded id stream that end at an event."""
-    tables: list[_OrderTable] = []
-    hist = np.zeros(len(tok), dtype=np.int64)  # the empty history, before every position
-    for k in range(1, order + 1):
-        # the history of every window that fits in its sentence, not only
-        # of those that end at an event: the others are all start markers,
-        # a history the first event of every sentence has too
-        fit = np.flatnonzero(depth >= k - 1)
-        hist_key = hist[fit - 1] * base + tok[fit - 1] if k > 1 else hist
-        hist_keys, hist_rank = np.unique(hist_key, return_inverse=True)
-        hist = np.full(len(tok), -1, dtype=np.int64)
-        hist[fit] = hist_rank
-        events = np.flatnonzero(depth >= max(first, k - 1))
-        keys, counts = np.unique(hist[events] * base + tok[events], return_counts=True)
-        tables.append(_order_table(hist_keys, keys, counts, base))
-    return tables
+    """The prefix tree of a padded id stream's windows, each counted where it ends at an event.
+
+    A window that ends before the first event of its sentence is all
+    start markers, a prefix of that event's windows, so the tree holds
+    the counted n-grams and their prefixes and nothing else.
+    """
+    event = depth >= first
+    levels = []
+    for keys, ranks in chain_ranks(tok, depth, order, base):
+        levels.append((keys, np.bincount(ranks[event & (ranks >= 0)], minlength=len(keys))))
+    return _tree(levels, base)
 
 
 def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -157,17 +157,12 @@ def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _empty_history(tables: list[_OrderTable], n: int) -> np.ndarray:
-    """Rank of the empty history, repeated n times; -1 if no unigram was counted."""
-    return np.full(n, 0 if len(tables[0].hist_keys) else -1, dtype=np.int64)
-
-
 class NgramLanguageModel:
-    """Count tables plus a smoothing rule; probabilities are computed on demand.
+    """A count tree plus a smoothing rule; probabilities are computed on demand.
 
     ``ids`` numbers the tokens as ``_token_ids`` does, and ``tables``
-    holds one ``_OrderTable`` per order, 1 to ``order``, keyed by those
-    ids. Neither may change after construction.
+    holds the levels of the prefix tree, one ``_OrderTable`` per order, 1
+    to ``order``, keyed by those ids. Neither may change after construction.
     """
 
     def __init__(
@@ -198,30 +193,24 @@ class NgramLanguageModel:
     def event_vocab(self) -> list[str]:
         return self.tokens[:-1]
 
-    def _columns(self, keys: np.ndarray, m: int) -> list[list[str]]:
-        """The tokens of the length-m sequences with these keys (n-gram keys of
-        order m, or history keys of order m + 1), one list per position."""
-        tokens = np.array(self.tokens, dtype=object)
-        base = len(self.tokens)
-        cols = []
-        for j in range(m - 1, -1, -1):
-            cols.append(tokens[keys % base].tolist())
-            if j:
-                keys = self.tables[j].hist_keys[keys // base]
-        return cols[::-1]
-
-    def _tuples(self, keys: np.ndarray, m: int) -> list[tuple[str, ...]]:
-        return list(zip(*self._columns(keys, m))) if m else [()] * len(keys)
+    def _spelled(self, joined: bool, top: int | None = None) -> list[dict]:
+        """Orders 1 to ``top`` (all by default), each as a dict from every counted
+        n-gram, spelled as ``ngramkeys.spell`` does, to its count."""
+        levels = spell([t.keys for t in self.tables], self.tokens, len(self.tokens), joined)
+        return [
+            dict(zip(compress(level, t.counts.tolist()), t.counts[t.counts > 0].tolist()))
+            for t, level in zip(self.tables[:top], levels)
+        ]
 
     @cached_property
     def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:
         """Per order, each n-gram's count under its token tuple.
 
         A read-only view for inspection: an order's tuples are decoded on
-        its first lookup, but its length is the table's size.
+        its first lookup, but its length is its number of n-grams.
         """
         return {
-            k: _LazyMapping(len(t.keys), lambda k=k, t=t: dict(zip(self._tuples(t.keys, k), t.counts.tolist())))
+            k: _LazyMapping(int(np.count_nonzero(t.counts)), lambda k=k: self._spelled(False, k)[-1])
             for k, t in enumerate(self.tables, start=1)
         }
 
@@ -320,22 +309,16 @@ def _event_probs(
     # each event's history length: order-1, or fewer near a sequence start
     top = np.minimum(depth[events], order - 1)
     ps = [np.full(len(events), 1.0 / v) for _ in models]
-    # the stream's distinct (k-1)-gram keys (the empty gram's is 0) and each model's history rank of their prefixes
-    prev = np.zeros(1, dtype=np.int64)
-    prev_hist = [prev] * len(models)
+    # each model's rank of the stream's distinct (k-1)-grams, the root's being 0
+    ranks_of = [np.zeros(1, dtype=np.int64)] * len(models)
     for k, (grams, ranks) in enumerate(chain_ranks(tok, depth, order, base), start=1):
         gram = ranks[events]  # -1 where an event has fewer than k-1 tokens before it
-        has = np.flatnonzero(gram >= 0)
         parent, last = grams // base, grams % base
         for i, (lm, p) in enumerate(zip(models, ps)):
             table = lm.tables[k - 1]
-            # each distinct (k-1)-gram's rank among the model's histories, each k-gram's among its n-grams
-            hist_of = rank(table.hist_keys, prev_hist[i][prev // base], prev % base, base, distinct=True)
-            gram_of = rank(table.keys, hist_of[parent], last, base, distinct=True)
-            prev_hist[i] = hist_of
-            h = np.full(len(events), -1, dtype=np.int64)
-            h[has] = hist_of[parent[gram[has]]]
-            c_hist = _at(table.hist_total, h)
+            hist = ranks_of[i][parent]  # each distinct k-gram's history in the model, -1 if absent
+            ranks_of[i] = rank(table.keys, hist, last, base, distinct=True)
+            c_hist = _at(_at(table.hist_total, hist), gram)
             if lm.smoothing == "interpolated-wb":
                 # interpolated Witten-Bell: blend the MLE with the next-shorter
                 # history's value where the history was seen, bottoming out at
@@ -343,17 +326,16 @@ def _event_probs(
                 sel = np.flatnonzero(c_hist > 0)
             else:
                 sel = np.flatnonzero(top == k - 1)
-            h, c_hist = h[sel], c_hist[sel]
-            c = _at(table.counts, gram_of[gram[sel]])
+            g, c_hist = gram[sel], c_hist[sel]  # every selected event has a k-gram
+            c = _at(table.counts, ranks_of[i][g])
             if lm.smoothing == "interpolated-wb":
-                n = _at(table.hist_types, h)
+                n = _at(table.hist_types, hist[g])
                 p[sel] = (c + n * p[sel]) / (c_hist + n)
             elif lm.smoothing == "mle":
                 # an unseen history has c == 0, so the clamp yields 0.0
                 p[sel] = c / np.maximum(c_hist, 1)
             else:
                 p[sel] = (c + lm.add_k) / (c_hist + lm.add_k * v)
-        prev = grams
     return ps
 
 
@@ -387,10 +369,6 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
     order, which is not id order (a token may hold a character below the
     space).
     """
-    counts = {}
-    for k, table in enumerate(lm.tables, start=1):
-        joined = map(" ".join, zip(*lm._columns(table.keys, k)))
-        counts[str(k)] = dict(zip(joined, table.counts.tolist()))
     payload = {
         "format": LM_MAGIC,
         "version": LM_VERSION,
@@ -400,7 +378,7 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
         "markers": lm.markers,
         "unk_floor": lm.unk_floor,
         "vocab": lm.tokens[:-3],
-        "counts": counts,
+        "counts": {str(k): table for k, table in enumerate(lm._spelled(True), start=1)},
     }
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -454,34 +432,32 @@ def load_lm(path) -> NgramLanguageModel:
         raise ConfigError(f"{path}: count tables {sorted(extra)} are outside orders 1 to {order}")
     ids = _token_ids(vocab)
     base = len(ids)
-    built: list[_OrderTable] = []
+    grams, counts = [], []
     for k in range(1, order + 1):
-        table = tables.get(str(k), {})
+        table = tables.pop(str(k), {})  # each order's strings go as soon as they are read
         values = table.values() if isinstance(table, dict) else [None]
-        # bool is a subclass of int, so compare the types themselves
-        if set(map(type, values)) - {int} or min(values, default=1) < 1 or max(values, default=1) >= 2**63:
+        n = len(values)
+        try:
+            # bool is a subclass of int, so compare the types themselves
+            c = np.fromiter(values, dtype=np.int64, count=n) if set(map(type, values)) <= {int} else None
+        except OverflowError:  # from 2**63 up
+            c = None
+        if c is None or (c < 1).any():
             raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
-        n = len(table)
-        counts = np.fromiter(values, dtype=np.int64, count=n)
+        counts.append(c)
         if set(map(str.count, table, repeat(" "))) - {k - 1}:
             raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
-        tokens = " ".join(table).split(" ") if n else []
-        try:
-            ngrams = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=n * k).reshape(n, k)
+        try:  # with count 0, fromiter reads nothing
+            grams.append(np.fromiter(map(ids.__getitem__, " ".join(table).split(" ")), dtype=np.int64, count=n * k))
         except KeyError as exc:
             raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
-        if k == 1:
-            hist_key = np.zeros(n, dtype=np.int64)
-        else:
-            prefix = _empty_history(built, n)
-            for j in range(1, k - 1):
-                prefix = rank(built[j].hist_keys, prefix, ngrams[:, j - 1], base)
-            if (prefix < 0).any():
-                raise ConfigError(f"{path}: order-{k} counts extend a history no shorter n-gram has")
-            hist_key = prefix * base + ngrams[:, k - 2]
-        hist_keys, hist_rank = np.unique(hist_key, return_inverse=True)
-        keys = hist_rank * base + ngrams[:, k - 1]
-        by_key = np.argsort(keys)
-        built.append(_order_table(hist_keys, keys[by_key], counts[by_key], base))
+    lens = np.repeat(np.arange(1, order + 1), list(map(len, counts)))
+    count = np.concatenate(counts)
+    tree = prefix_tree(np.concatenate(grams), lens, base, order)
+    built = _tree(((keys, _at(count, end)) for keys, end in tree), base)
+    for k, below, level in zip(range(2, order + 1), built, built[1:]):
+        # an n-gram's history must extend one the next-shorter order has:
+        # its parent's parent must have a counted child at that order
+        if not below.hist_types[below.keys[level.keys[level.counts > 0] // base] // base].all():
+            raise ConfigError(f"{path}: order-{k} counts extend a history no shorter n-gram has")
     return NgramLanguageModel(order, smoothing, float(add_k), markers, unk_floor, ids, built)
-

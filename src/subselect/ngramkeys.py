@@ -1,11 +1,15 @@
-"""Sorted int64 keys for n-grams over interned token ids.
+"""Sorted int64 keys for n-grams over interned token ids: a prefix tree in arrays.
 
 With ``base`` token ids, an n-gram's key is ``base * rank(the n-gram
 minus its last token) + id(its last token)``, the rank being the index
 of that shorter n-gram among the sorted keys of its own order; the empty
-n-gram has rank 0. A rank is below its table's size, so keys fit in
-int64 at any order. This is the sorted-array layout of Heafield's KenLM:
-``lm`` keeps its count tables this way, ``features`` its n-gram universe.
+n-gram, the root, has rank 0. Keys fit in int64 at any order, as a rank
+is below its table's size. Level k of a tree holds its k-grams, each
+k-token prefix of a longer n-gram included, so every key's prefix is in
+the level below. This is the sorted-array layout of Heafield's KenLM:
+``lm`` keeps each model as one such tree, ``features`` its n-gram
+universe. ``prefix_tree`` builds a tree from n-grams, ``chain_ranks``
+from the windows of a token stream, and ``spell`` spells its levels.
 """
 
 from __future__ import annotations
@@ -61,6 +65,41 @@ def rank(
     return out
 
 
+def prefix_tree(tok: np.ndarray, lens: np.ndarray, base: int, levels: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Levels 1 to ``levels`` of the prefix tree of the n-grams whose token ids
+    (below ``base``) come end to end in ``tok``.
+
+    Yields per level k the sorted keys of every k-token prefix, and for
+    each key the index of the n-gram it spells in full, -1 for a prefix
+    only (the last such n-gram where several are equal).
+    """
+    starts = np.cumsum(lens) - lens
+    prefix = np.zeros(len(lens), dtype=np.int64)  # each n-gram's rank at the level reached
+    for k in range(1, levels + 1):
+        sel = np.flatnonzero(lens >= k)
+        key = prefix[sel] * base + tok[starts[sel] + k - 1]
+        # return_index asks for a stable sort, fast on the near-sorted rows of a file in string order
+        table, _, inverse = np.unique(key, return_index=True, return_inverse=True)
+        prefix[sel] = inverse
+        end = np.full(len(table), -1, dtype=np.int64)
+        exact = lens[sel] == k
+        end[inverse[exact]] = sel[exact]
+        yield table, end
+
+
+def spell(tables: Sequence[np.ndarray], tokens: Sequence[str], base: int, joined: bool = False) -> Iterator[list]:
+    """Each level's n-grams in key order, spelled down the tree: token tuples, or
+    with ``joined`` their tokens joined by spaces."""
+    prev: list = [None]
+    for table in tables:
+        pairs = zip(map(prev.__getitem__, (table // base).tolist()), map(tokens.__getitem__, (table % base).tolist()))
+        if joined:
+            prev = [tok if head is None else f"{head} {tok}" for head, tok in pairs]
+        else:
+            prev = [(tok,) if head is None else head + (tok,) for head, tok in pairs]
+        yield prev
+
+
 def depths(lens: np.ndarray) -> np.ndarray:
     """Each position's index within its sequence, for sequences of these lengths laid end to end."""
     return np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
@@ -85,15 +124,17 @@ def chain_ranks(
     its own k-grams.
     """
     n = len(tok)
-    ranks = np.zeros(n, dtype=np.int64)  # the empty n-gram, before every position
     for k in range(1, max_order + 1):
-        if k == 1:
-            parent = ranks
-        else:
+        if k > 1:
             parent = np.full(n, -1, dtype=np.int64)
             parent[1:] = ranks[:-1]
             parent[depth < k - 1] = -1
-        if tables is not None:
+        if k == 1:  # the keys are the token ids themselves: rank them through one lookup table
+            table = tables[0] if tables is not None else np.flatnonzero(np.bincount(tok, minlength=base))
+            lookup = np.full(base, -1, dtype=np.int64)
+            lookup[table] = np.arange(len(table))
+            ranks = lookup[tok]
+        elif tables is not None:
             table = tables[k - 1]
             ranks = rank(table, parent, tok, base)
         else:

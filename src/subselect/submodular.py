@@ -47,7 +47,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, StateError
-from .features import FeatureSet, FeatureVector, RelevanceRows, featurize, relevance_rows
+from .features import FeatureSet, FeatureVector, RelevanceRows, _check_fitted, featurize, relevance_rows
 from .ngramkeys import _LazyMapping
 
 logger = logging.getLogger(__name__)
@@ -267,8 +267,7 @@ def check_budget(budget: float) -> None:
 
 def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[int]:
     """Check a corpus instance; return each sentence's cost under ``cost_mode``."""
-    if not features.fitted:
-        raise StateError("feature set is unfitted; call fit_idf first")
+    _check_fitted(features)
     if features.ground_size != len(ground):
         raise StateError(
             f"feature set was fitted against {features.ground_size} sentences, "
@@ -365,7 +364,7 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
 
 def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
     mass = problem.zero_mass()
-    remaining = np.arange(problem.n_rows)
+    remaining = np.flatnonzero(problem.cost_arr > 0)  # see _greedy_lazy
     while remaining.size:
         # one full pass over the candidates that still fit
         remaining = remaining[state.spent + problem.cost_arr[remaining] <= budget]
@@ -403,7 +402,8 @@ def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> S
     """
     mass = problem.zero_mass()
     costs = problem.costs
-    feasible = [vid for vid in range(problem.n_rows) if costs[vid] <= budget]
+    # a row that costs nothing (no words, under word costs) gains nothing: never a candidate
+    feasible = [vid for vid in range(problem.n_rows) if 0 < costs[vid] <= budget]
     gains = problem.gains(feasible, mass, concave)
     cached_gain = [0.0] * problem.n_rows
     stamp = [-1] * problem.n_rows

@@ -27,7 +27,7 @@ class ScoredSentence:
     id: int
     score: float
     length: int
-    defined: bool = True  # False when both models assign zero probability
+    defined: bool = True  # False for no words, or when both models assign zero probability
 
 
 def _check_pair(lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> None:
@@ -51,7 +51,7 @@ def _score(
     scored = []
     for sid, cost, lp_in, lp_out in zip(ids, stream.lens.tolist(), lp_ins, lp_outs):
         diff = lp_in - lp_out
-        if math.isnan(diff):
+        if math.isnan(diff) or not cost:
             scored.append(ScoredSentence(sid, float("nan"), cost, defined=False))
         else:
             scored.append(ScoredSentence(sid, diff / cost, cost))
@@ -61,8 +61,9 @@ def _score(
 def xent_score(sentence, lm_in: NgramLanguageModel, lm_out: NgramLanguageModel) -> ScoredSentence:
     """Length-normalized log-probability difference for one sentence.
 
-    If both models assign zero probability the difference is undefined;
-    the sentence is flagged and will rank after every defined one.
+    If both models assign zero probability the difference is undefined,
+    and a sentence of no words has no per-word score; either is flagged
+    and will rank after every defined one.
     """
     return _score(as_stream([sentence]), [sentence.id], lm_in, lm_out)[0]
 

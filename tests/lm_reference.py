@@ -7,13 +7,13 @@ with each history's total and type count derived from those counts.
 ``conditional_prob`` and ``log_probs`` do; the library's batch kernel
 must give the same floats bit for bit.
 
-``_train`` counts tuple windows into per-order dicts, and ``_tables``
-turns those dicts into sorted integer-key tables on first use. Both are
-kept verbatim from before the tables were counted straight from integer
-keys: the integer counting must give the same tables and the same
-counts. ``_tables`` numbers tokens in the iteration order of ``vocab``;
-give the model a vocabulary that iterates in string order
-(``ordered_vocab``) to get the ids the library uses.
+``_train`` counts tuple windows into per-order dicts, kept verbatim
+from before the tables were counted straight from integer keys, and
+``_tables`` turns those dicts into the model's prefix tree on first use,
+from id tuples alone: the integer counting and loading must give the
+same tables and the same counts. ``_tables`` numbers tokens in the
+iteration order of ``vocab``; give the model a vocabulary that iterates
+in string order (``ordered_vocab``) to get the ids the library uses.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, EmptyCorpusError
-from subselect.lm import BOS, EOS, UNK, _empty_history, _OrderTable, parse_smoothing
-from subselect.ngramkeys import depths, rank
+from subselect.lm import BOS, EOS, UNK, _OrderTable, parse_smoothing
+from subselect.ngramkeys import depths
 
 _HISTORY_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -146,37 +146,37 @@ class NgramLanguageModel:
 
     @cached_property
     def _tables(self) -> tuple[dict[str, int], list[_OrderTable]]:
-        """Token ids and one sorted-key table per order, built on first batch scoring."""
+        """Token ids and the model's prefix tree, one ``_OrderTable`` a level, built from id tuples.
+
+        Level k holds every counted k-gram and every k-token prefix of a
+        longer one (count 0 unless counted), in lexicographic id order; a
+        tuple's rank is its index in its level, the empty tuple's 0.
+        """
         tok_id = {tok: i for i, tok in enumerate(chain(self.vocab, (EOS, UNK, BOS)))}
         base = len(tok_id)
+        count: dict[tuple[int, ...], int] = {}
+        for k in range(1, self.order + 1):
+            for ngram, c in self.counts.get(k, {}).items():
+                try:
+                    ids = tuple(tok_id[tok] for tok in ngram)
+                except KeyError as exc:
+                    raise ConfigError(f"order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+                count[ids] = c
+                for j in range(1, k):
+                    count.setdefault(ids[:j], 0)
+        rank_of = {(): 0}
         tables: list[_OrderTable] = []
         for k in range(1, self.order + 1):
-            table = self.counts.get(k, {})
-            n = len(table)
-            try:
-                ids = np.fromiter(
-                    map(tok_id.__getitem__, chain.from_iterable(table)), dtype=np.int64, count=n * k
-                ).reshape(n, k)
-            except KeyError as exc:
-                raise ConfigError(f"order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
-            counts = np.fromiter(table.values(), dtype=np.int64, count=n)
-            if k == 1:
-                hist_key = np.zeros(n, dtype=np.int64)
-            else:
-                prefix = _empty_history(tables, n)
-                for j in range(1, k - 1):
-                    prefix = rank(tables[j].hist_keys, prefix, ids[:, j - 1], base)
-                if (prefix < 0).any():
-                    raise ConfigError(f"order-{k} counts extend a history no shorter n-gram has")
-                hist_key = prefix * base + ids[:, k - 2]
-            hist_keys, hist_rank, hist_types = np.unique(
-                hist_key, return_inverse=True, return_counts=True
-            )
-            hist_total = np.zeros(len(hist_keys), dtype=np.int64)
-            np.add.at(hist_total, hist_rank, counts)
-            keys = hist_rank * base + ids[:, k - 1]
-            by_key = np.argsort(keys)
-            tables.append(_OrderTable(hist_keys, hist_total, hist_types, keys[by_key], counts[by_key]))
+            level = sorted(ids for ids in count if len(ids) == k)
+            hist_total = np.zeros(len(tables[-1].keys) if tables else 1, dtype=np.int64)
+            hist_types = np.zeros_like(hist_total)
+            for ids in level:
+                hist_total[rank_of[ids[:-1]]] += count[ids]
+                hist_types[rank_of[ids[:-1]]] += count[ids] > 0
+            keys = np.array([rank_of[ids[:-1]] * base + ids[-1] for ids in level], dtype=np.int64)
+            counts = np.array([count[ids] for ids in level], dtype=np.int64)
+            tables.append(_OrderTable(keys, counts, hist_total, hist_types))
+            rank_of.update(zip(level, range(len(level))))
         return tok_id, tables
 
 

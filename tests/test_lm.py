@@ -309,15 +309,21 @@ class TestSerialization:
             ("2", "a b", 0),
             ("2", "a b", True),  # a JSON boolean, not a count
             ("5", "a b a b a", 1),  # a table beyond the model's order
+            ("1", None, None),  # bigrams over an emptied unigram table
+            ("4", "b a b a", 1),  # no trigram starts with its 2-token prefix (b, a)
         ],
     )
     def test_malformed_counts_rejected(self, tmp_path, table, ngram, count):
         import json
 
         path = tmp_path / "model.json"
-        save_lm(train_lm(corpus_of("a b"), order=3, extra_vocab={"c"}), path)
+        save_lm(train_lm(corpus_of("a b"), order=4, extra_vocab={"c"}), path)
         payload = json.loads(path.read_text())
-        payload["counts"].setdefault(table, {})[ngram] = count
+        counts = payload["counts"].setdefault(table, {})
+        if ngram is None:
+            counts.clear()
+        else:
+            counts[ngram] = count
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_lm(path)

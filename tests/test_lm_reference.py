@@ -14,7 +14,7 @@ import lm_reference as ref
 from subselect.corpus import Corpus, Sentence
 from subselect.lm import BOS, EOS, UNK, LM_MAGIC, LM_VERSION, corpus_vocab, load_lm, save_lm, train_lm
 
-FIELDS = ("hist_keys", "hist_total", "hist_types", "keys", "counts")
+FIELDS = ("keys", "counts", "hist_total", "hist_types")
 
 # "a\x01" sorts before "a b" as a string but after "a" as a token, so
 # file order is not id order

@@ -6,7 +6,7 @@ import pytest
 
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, StateError
-from subselect.features import FeatureVector, extract_feature_set, featurize, fit_idf
+from subselect.features import FeatureSet, FeatureVector, extract_feature_set, featurize, fit_idf
 from subselect.submodular import (
     ConcaveSpec,
     SelectionState,
@@ -200,6 +200,23 @@ class TestGreedyBehavior:
         state = greedy_select_vectors(vectors, [1, 1, 1], SQRT, budget=3)
         assert 1 not in state.selected
         assert set(state.selected) == {0, 2}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_empty_sentence_is_never_a_candidate(self, seed):
+        # under word costs an empty sentence costs 0 and gains 0, a 0/0 ratio
+        rng = random.Random(seed)
+        pool = make_corpus(rng, 8)
+        at = rng.randrange(len(pool) + 1)
+        texts = [s.source_tokens for s in pool]
+        with_empty = Corpus(tuple(Sentence(i, t) for i, t in enumerate(texts[:at] + [()] + texts[at:])))
+        features = fit_idf(extract_feature_set(make_corpus(rng, 3), 2), with_empty)
+        # the same idf over the pool without it, so both runs see the same gains
+        without = FeatureSet(features.max_order, features.features, len(pool))
+        budget = rng.randint(1, pool.total_cost)
+        expected = greedy_select(pool, without, SQRT, budget=budget).selected
+        for variant in ("naive", "lazy"):
+            state = greedy_select(with_empty, features, SQRT, budget=budget, variant=variant)
+            assert state.selected == [i + (i >= at) for i in expected]
 
     def test_objective_equals_scratch_evaluation(self):
         rng = random.Random(31)

@@ -68,6 +68,15 @@ class TestScore:
         assert not scored.defined
         assert math.isnan(scored.score)
 
+    def test_empty_sentence_is_flagged_and_ranks_last(self):
+        lm_in, lm_out = train_domain_pair(corpus_of("a b", "a"), corpus_of("b c", "c"), order=2)
+        ground = Corpus(tuple(Sentence(i, tuple(t.split())) for i, t in enumerate(["a b", "", "c", "zzz"])))
+        scores = score_corpus(ground, lm_in, lm_out)
+        assert [s.defined for s in scores] == [True, False, True, True]
+        assert math.isnan(scores[1].score)
+        assert not xent_score(ground[1], lm_in, lm_out).defined
+        assert rank_and_select(ground, scores, 100, "unit").selected[-1] == 1
+
     def test_one_sided_zero_probability_stays_defined(self):
         lm_in = train_lm(corpus_of("a"), order=1, smoothing="mle", markers=False)
         lm_out = train_lm(corpus_of("a b"), order=1, smoothing="mle", markers=False)
