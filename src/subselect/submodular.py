@@ -11,12 +11,14 @@ what pushes the greedy away from near-duplicates; it also makes f
 monotone submodular, so the classic greedy enjoys the (1 - 1/e)
 worst-case guarantee on unit-cost instances.
 
-Both greedy variants pick, among the sentences that still fit the
-budget, the one maximizing marginal gain divided by cost, never
-overspending. The lazy variant keeps stale gain ratios in a max-heap:
-because gains only shrink as the selection grows, a stale value is an
-upper bound, and an entry that is still on top after recomputation is
-safe to take. Trajectories of the two variants are identical.
+Both greedy variants pick, among the candidates (sentences with a
+positive cost within the budget) that still fit, the one maximizing
+marginal gain divided by cost, never overspending. The lazy variant
+keeps stale gain ratios in a max-heap, each entry with its gain and the
+step it was computed at: because gains only shrink as the selection
+grows, a stale value is an upper bound, and an entry that is still on
+top after recomputation is safe to take. Trajectories of the two
+variants are identical.
 
 ``objective`` is the one from-scratch f, over a selection's (feature,
 relevance) pairs; ``evaluate``, the report and the oracle all use it.
@@ -40,7 +42,7 @@ import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,7 +174,6 @@ class _Problem:
         self.costs = costs  # int per sentence
         self.cost_arr = np.asarray(costs, dtype=np.int64)
         self.col_names = rows.names
-        self.n_rows = len(costs)
 
     def zero_mass(self) -> np.ndarray:
         return np.zeros(self.n_features + 1, dtype=np.float64)  # the last column is the padding's
@@ -362,122 +363,90 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
     return state
 
 
-def _greedy_naive(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
-    mass = problem.zero_mass()
-    remaining = np.flatnonzero(problem.cost_arr > 0)  # see _greedy_lazy
-    while remaining.size:
+def _take(problem: _Problem, vid: int, gain: float, ratio: float, mass: np.ndarray, state: SelectionState) -> None:
+    problem.add_to_mass(vid, mass)
+    state.spent += problem.costs[vid]
+    state.objective += gain
+    state.selected.append(vid)
+    state.trajectory.append(SelectionStep(vid, gain, ratio, state.spent))
+
+
+def _greedy_naive(problem: _Problem, concave, budget, remaining: np.ndarray, mass, state: SelectionState) -> None:
+    while True:
         # one full pass over the candidates that still fit
         remaining = remaining[state.spent + problem.cost_arr[remaining] <= budget]
-        evals = remaining.size
-        state.gain_evaluations += evals
-        state.evaluations_per_step.append(evals)
-        if not evals:
+        state.evaluations_per_step.append(remaining.size)
+        if not remaining.size:
             break
         gains = problem.gains(remaining, mass, concave)
         ratios = gains / problem.cost_arr[remaining]
         best = int(np.argmax(ratios))  # the first, so the lowest id, of the highest ratios
-        best_id, best_gain = int(remaining[best]), float(gains[best])
-        if best_gain <= 0.0:
+        if gains[best] <= 0.0:
             break
+        _take(problem, int(remaining[best]), float(gains[best]), float(ratios[best]), mass, state)
         remaining = np.delete(remaining, best)
-        problem.add_to_mass(best_id, mass)
-        state.spent += problem.costs[best_id]
-        state.objective += best_gain
-        state.selected.append(best_id)
-        state.trajectory.append(SelectionStep(best_id, best_gain, float(ratios[best]), state.spent))
-    else:
-        state.evaluations_per_step.append(0)
-    return _finish_state(state, problem, mass)
 
 
-def _greedy_lazy(problem: _Problem, concave, budget, state: SelectionState) -> SelectionState:
-    """Lazy greedy over a heap of stale gain bounds, keyed (-ratio, id).
+def _greedy_lazy(problem: _Problem, concave, budget, candidates: np.ndarray, mass, state: SelectionState) -> None:
+    """Lazy greedy over a heap of entries ``(-ratio, id, gain, step)``.
 
-    An entry is fresh when its gain was computed against the current
-    selection. A fresh entry on top is taken; a stale one on top is
-    recomputed, which ``_refresh`` does for a batch of the stale entries
-    that follow it, committing only those that one-at-a-time recomputation
-    would have reached. Picks, gains and evaluation counts are those of the
+    An entry's gain and ratio were computed against the first ``step``
+    picks, so it is fresh when ``step`` is the current pick count. A fresh
+    entry on top is taken; a stale one on top is recomputed, which
+    ``_refresh`` does for a batch of the stale entries that follow it,
+    committing only those that one-at-a-time recomputation would have
+    reached. Picks, gains and evaluation counts are those of the
     one-at-a-time heap loop.
     """
-    mass = problem.zero_mass()
-    costs = problem.costs
-    # a row that costs nothing (no words, under word costs) gains nothing: never a candidate
-    feasible = [vid for vid in range(problem.n_rows) if 0 < costs[vid] <= budget]
-    gains = problem.gains(feasible, mass, concave)
-    cached_gain = [0.0] * problem.n_rows
-    stamp = [-1] * problem.n_rows
-    for vid, gain in zip(feasible, gains.tolist()):
-        cached_gain[vid] = gain
-        stamp[vid] = 0
-    heap = list(zip((-gains / problem.cost_arr[feasible]).tolist(), feasible))
+    gains = problem.gains(candidates, mass, concave)
+    keys = (-gains / problem.cost_arr[candidates]).tolist()
+    heap = list(zip(keys, candidates.tolist(), gains.tolist(), repeat(0)))
     heapq.heapify(heap)
-    evals_this_step = len(feasible)
-    state.gain_evaluations += evals_this_step
-    batch = _FIRST_BATCH
-
+    evals, batch = len(heap), _FIRST_BATCH
     while heap:
-        neg_ratio, vid = heap[0]
-        cost = costs[vid]
-        if state.spent + cost > budget:
-            heapq.heappop(heap)
-            continue  # can never fit again: spent only grows
-        if stamp[vid] == len(state.selected):
-            heapq.heappop(heap)
-            gain = cached_gain[vid]
+        neg_ratio, vid, gain, step = heap[0]
+        if state.spent + problem.costs[vid] > budget:
+            heapq.heappop(heap)  # can never fit again: spent only grows
+        elif step == len(state.selected):
             if gain <= 0.0:
                 break
-            problem.add_to_mass(vid, mass)
-            state.spent += cost
-            state.objective += gain
-            state.selected.append(vid)
-            state.trajectory.append(SelectionStep(vid, gain, -neg_ratio, state.spent))
-            state.evaluations_per_step.append(evals_this_step)
-            evals_this_step = 0
-            batch = _FIRST_BATCH
+            heapq.heappop(heap)
+            _take(problem, vid, gain, -neg_ratio, mass, state)
+            state.evaluations_per_step.append(evals)
+            evals, batch = 0, _FIRST_BATCH
         else:
-            evals = _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, stamp)
-            state.gain_evaluations += evals
-            evals_this_step += evals
+            evals += _refresh(problem, heap, batch, mass, concave, budget, state)
             batch *= 2
-    state.evaluations_per_step.append(evals_this_step)
-    return _finish_state(state, problem, mass)
+    state.evaluations_per_step.append(evals)
 
 
-def _refresh(problem, heap, batch, mass, concave, budget, state, cached_gain, stamp) -> int:
+def _refresh(problem, heap, batch, mass, concave, budget, state) -> int:
     """Recompute the stale entries on top of ``heap``; return how many count.
 
-    Pops up to ``batch`` stale entries that still fit, in heap order, and
-    evaluates them in one ``gains`` call. Recomputing one at a time, the
-    heap loop would stop after entry i once the best recomputed (key, id)
-    so far precedes entry i + 1; those first i + 1 go back with their new
-    keys and the current stamp, the others with their old keys untouched.
+    Pops stale entries until a fresh one is on top or ``batch`` of them
+    still fit, dropping those that no longer fit, and evaluates the kept
+    ones in one ``gains`` call. Recomputing one at a time, the heap loop
+    would stop after entry i once the best recomputed entry so far precedes
+    entry i + 1; those first i + 1 go back with their new key, gain and the
+    current step, the others as they were. Ids are distinct, so entries
+    order by (key, id).
     """
     step = len(state.selected)
-    popped: list[tuple[float, int]] = []
-    while heap and len(popped) < batch:
-        vid = heap[0][1]
-        if state.spent + problem.costs[vid] > budget:
-            heapq.heappop(heap)  # can never fit again, as in the heap loop
-        elif stamp[vid] == step:
-            break  # fresh: the heap loop would take it before anything below
-        else:
-            popped.append(heapq.heappop(heap))
-    ids = [vid for _, vid in popped]
+    popped: list[tuple] = []
+    while heap and len(popped) < batch and heap[0][3] != step:
+        entry = heapq.heappop(heap)
+        if state.spent + problem.costs[entry[1]] <= budget:  # else it can never fit again: drop it
+            popped.append(entry)
+    ids = [entry[1] for entry in popped]
     gains = problem.gains(ids, mass, concave)
     keys = (-gains / problem.cost_arr[ids]).tolist()
-    commit, best = len(popped), None
-    for i, (key, vid) in enumerate(zip(keys, ids)):
-        if best is None or (key, vid) < best:
-            best = (key, vid)
-        if i + 1 < len(popped) and best < popped[i + 1]:
-            commit = i + 1
+    fresh = list(zip(keys, ids, gains.tolist(), repeat(step)))
+    commit = len(fresh)
+    for i, (best, following) in enumerate(zip(accumulate(fresh, min), popped[1:]), 1):
+        if best < following:
+            commit = i
             break
-    for key, vid, gain in zip(keys[:commit], ids[:commit], gains[:commit].tolist()):
-        cached_gain[vid] = gain
-        stamp[vid] = step
-        heapq.heappush(heap, (key, vid))
-    for entry in popped[commit:]:
+    for entry in chain(fresh[:commit], popped[commit:]):
         heapq.heappush(heap, entry)
     return commit
 
@@ -486,12 +455,17 @@ def _run_greedy(problem, concave, budget, cost_mode, variant) -> SelectionState:
     check_budget(budget)
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of: {', '.join(VARIANTS)}")
-    if problem.n_rows and min(problem.costs) > budget:
+    # a row that costs nothing (no words, under word costs) gains nothing: never a candidate
+    costs = problem.cost_arr
+    candidates = np.flatnonzero((costs > 0) & (costs <= budget))
+    if not candidates.size and costs.any():
         logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
-    if variant == "naive":
-        return _greedy_naive(problem, concave, budget, state)
-    return _greedy_lazy(problem, concave, budget, state)
+    mass = problem.zero_mass()
+    loop = _greedy_naive if variant == "naive" else _greedy_lazy
+    loop(problem, concave, budget, candidates, mass, state)
+    state.gain_evaluations = sum(state.evaluations_per_step)
+    return _finish_state(state, problem, mass)
 
 
 def greedy_select(
@@ -507,8 +481,10 @@ def greedy_select(
     Sentences are taken by descending gain-per-cost among those that
     still fit the budget; selection stops when nothing feasible has
     positive gain. Ties go to the higher ratio and then the lower id. A
-    budget below every sentence cost yields an empty selection with a
-    logged warning, not an error. Every variant is single-threaded.
+    budget below the cost of every sentence with words yields an empty
+    selection with a logged warning, not an error; empty sentences are
+    never candidates, so they neither silence the warning nor raise it.
+    Every variant is single-threaded.
     """
     costs = _corpus_costs(ground, features, cost_mode)
     problem = _Problem(relevance_rows(ground, features), costs)

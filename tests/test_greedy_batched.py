@@ -211,15 +211,28 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         # stale heap (-4, 5) < (-3, 3) < (-2, 4); rows 3 and 5 both recompute to
         # key -2. One at a time, the heap loop recomputes 5 and 3, then finds the
         # fresh (-2, 3) ahead of the stale (-2, 4) and stops: two evaluations.
+        problem, heap, state = self.stale_heap()
+        evals = submodular._refresh(problem, heap, 16, problem.zero_mass(), KERNEL_CURVES["sqrt"], 6, state)
+        assert evals == 2
+        # (-ratio, id, gain, step): 3 and 5 go back fresh at step 0, 4 as it was
+        assert sorted(heap) == [(-2.0, 3, 2.0, 0), (-2.0, 4, 2.0, -1), (-2.0, 5, 2.0, 0)]
+
+    def test_refresh_stops_at_a_fresh_top_that_no_longer_fits(self):
+        # after a committed batch the fresh (-2, 3) is on top; once nothing fits,
+        # _refresh still stops there and leaves dropping it, and the stale row 4
+        # below it, to the heap loop
+        problem, heap, state = self.stale_heap()
+        mass = problem.zero_mass()
+        assert submodular._refresh(problem, heap, 16, mass, KERNEL_CURVES["sqrt"], 6, state) == 2
+        committed = sorted(heap)
+        state.spent = 6
+        assert submodular._refresh(problem, heap, 16, mass, KERNEL_CURVES["sqrt"], 6, state) == 0
+        assert sorted(heap) == committed
+
+    @staticmethod
+    def stale_heap():
         vectors = [{}, {}, {}, {"a": 4.0}, {"b": 1.0}, {"a": 4.0}]
         problem = _Problem(_vector_rows(vectors, None), [1] * 6)
-        heap = [(-4.0, 5), (-3.0, 3), (-2.0, 4)]
-        cached_gain, stamp = [0.0] * 6, [-1] * 6
-        state = SelectionState()
-        evals = submodular._refresh(
-            problem, heap, 16, problem.zero_mass(), KERNEL_CURVES["sqrt"], 6, state, cached_gain, stamp
-        )
-        assert evals == 2
-        assert sorted(heap) == [(-2.0, 3), (-2.0, 4), (-2.0, 5)]
-        assert (stamp[3], stamp[4], stamp[5]) == (0, -1, 0)
-        assert (cached_gain[3], cached_gain[5]) == (2.0, 2.0)
+        # stale entries from before any pick: step -1
+        heap = [(-4.0, 5, 4.0, -1), (-3.0, 3, 3.0, -1), (-2.0, 4, 2.0, -1)]
+        return problem, heap, SelectionState()

@@ -163,6 +163,31 @@ class TestGreedyBehavior:
         assert state.objective == 0.0
         assert any("below every sentence cost" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize("variant", ["naive", "lazy"])
+    @pytest.mark.parametrize(
+        "texts, selected, warns",
+        [
+            ([("a", "b", "c", "d"), ("e", "f", "g", "h")], [], True),
+            # the empty sentence costs 0 under word costs, but it is no candidate
+            ([("a", "b", "c", "d"), (), ("e", "f", "g", "h")], [], True),
+            ([("a", "b", "c", "d"), (), ("e", "f")], [2], False),
+        ],
+    )
+    def test_budget_warning_weighs_only_sentences_with_words(self, texts, selected, warns, variant, caplog):
+        ground = Corpus(tuple(Sentence(i, t) for i, t in enumerate(texts)))
+        features = fit_idf(extract_feature_set(ground, 1), ground)
+        with caplog.at_level(logging.WARNING):
+            state = greedy_select(ground, features, SQRT, budget=3, variant=variant)
+        assert state.selected == selected
+        assert any("below every sentence cost" in r.getMessage() for r in caplog.records) == warns
+
+    @pytest.mark.parametrize("variant", ["naive", "lazy"])
+    def test_every_row_over_budget_evaluates_nothing(self, variant):
+        state = greedy_select_vectors([{"u": 1.0}, {"v": 1.0}], [5, 7], SQRT, budget=3, variant=variant)
+        assert state.selected == []
+        assert state.evaluations_per_step == [0]
+        assert state.gain_evaluations == 0
+
     def test_generous_budget_takes_all_positive_gain(self):
         rng = random.Random(5)
         ground, _, features = make_instance(rng, n_ground=8)
