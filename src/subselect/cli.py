@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .corpus import TOKENIZERS, load_corpus
 from .errors import ConfigError, SubselectError
-from .features import FEATURE_WEIGHTINGS, extract_feature_set, fit_idf, load_feature_set, save_feature_set
+from .features import FEATURE_WEIGHTINGS, check_feature_settings, extract_feature_set, fit_idf, load_feature_set
+from .features import save_feature_set
 from .lm import check_lm_settings, corpus_vocab, load_lm, save_lm, train_lm
 from .oracle import GUARANTEE_FLOOR, brute_force_optimal, brute_force_vectors, build_report
 from .output import (
@@ -311,6 +312,8 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    if args.method in ("submod", "both"):
+        check_feature_settings(args.max_order, args.feature_weights)
     if args.method in ("xent", "both"):
         check_lm_settings(args.lm_order, args.lm_smoothing, args.unk_floor)
     _require_files(args.ground_src, args.ground_tgt, args.in_domain_src, args.in_domain_tgt)
@@ -454,6 +457,8 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(list(argv), subs)
         args = parser.parse_args(argv)
+        if args.config is not None:  # the scanner strips every full --config, so this was abbreviated
+            raise ConfigError("spell --config in full; an abbreviated --config is not read")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,6 +369,16 @@ class FeatureVector:
         return len(self.entries)
 
 
+def check_feature_settings(max_order: int, weighting: str) -> None:
+    """Check a feature set's extraction settings."""
+    if max_order < 1:
+        raise ConfigError(f"max_order must be >= 1, got {max_order}")
+    if weighting not in FEATURE_WEIGHTINGS:
+        raise ConfigError(
+            f"unknown feature weighting {weighting!r}; expected one of: {', '.join(FEATURE_WEIGHTINGS)}"
+        )
+
+
 def extract_feature_set(
     in_domain: Corpus, max_order: int = 7, weighting: str = "uniform"
 ) -> FeatureSet:
@@ -379,12 +389,7 @@ def extract_feature_set(
     the sample. The returned set is unfitted: doc frequencies are zero
     and idf is absent until fit_idf is called.
     """
-    if max_order < 1:
-        raise ConfigError(f"max_order must be >= 1, got {max_order}")
-    if weighting not in FEATURE_WEIGHTINGS:
-        raise ConfigError(
-            f"unknown feature weighting {weighting!r}; expected one of: {', '.join(FEATURE_WEIGHTINGS)}"
-        )
+    check_feature_settings(max_order, weighting)
     if len(in_domain) == 0:
         raise EmptyCorpusError("in-domain sample is empty")
     index, count = _NgramIndex.intern(as_stream(in_domain), max_order)

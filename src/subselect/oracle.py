@@ -2,17 +2,16 @@
 
 brute_force_optimal enumerates every budget-feasible subset, so it is
 capped at 20 sentences and exists to verify the greedy's approximation
-quality on desk-scale instances, not to select corpora. It prunes with
-``reference_gain`` and settles each candidate with ``objective``, the
-reference definitions in ``submodular``, never with the greedy's array
-kernel, so it checks that kernel independently. The report scores every
-method with the same ``objective``.
+quality on desk-scale instances, not to select corpora. It scores every
+subset that fits the budget with ``objective``, the reference definition
+in ``submodular``, never with the greedy's array kernel, so it checks
+that kernel independently. The report scores every method with the same
+``objective`` and builds each of its formats from ``MethodMetrics``' fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,8 +19,10 @@ import numpy as np
 from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
 from .features import FeatureSet, FeatureVector, _check_fitted, _relevance, count_ngrams
-from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, objective, reference_gain, sentence_costs
+from .features import extract_feature_set, fit_idf
+from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, greedy_select, objective, sentence_costs
 from .submodular import _corpus_costs, _vector_instance
+from .xent import rank_and_select, score_corpus, train_domain_pair
 
 ORACLE_MAX_SENTENCES = 20
 GUARANTEE_FLOOR = 0.63  # contractual pass line for the greedy/optimal ratio
@@ -37,38 +38,33 @@ def _check_size(n: int) -> None:
 
 
 def _brute(vectors, costs, weight_of, concave, budget):
+    """Depth-first over ids in ascending order, scoring every subset that fits
+    with ``objective`` over its accumulated mass."""
     n = len(vectors)
     best_ids: tuple[int, ...] = ()
     best_f = 0.0
     current: list[int] = []
 
-    def consider(running_f: float) -> None:
+    def descend(start: int, spent: int, mass: dict) -> None:
         nonlocal best_ids, best_f
-        if running_f < best_f - 1e-9:
-            return
-        # near the incumbent: settle it with an exact from-scratch value
-        exact = objective(chain.from_iterable(vectors[i].items() for i in current), weight_of, concave)
-        ids = tuple(current)
-        if exact > best_f or (
-            exact == best_f and (len(ids), ids) < (len(best_ids), best_ids)
-        ):
-            best_ids, best_f = ids, exact
-
-    def descend(start: int, spent: int, running_f: float, mass: dict) -> None:
         for idx in range(start, n):
             cost = costs[idx]
             if spent + cost > budget:
                 continue
-            delta = reference_gain(vectors[idx], mass, weight_of, concave)
+            # the prefix's masses plus this item's, in pair order: the keys and
+            # sums objective would rebuild from the subset's pairs
             grown = dict(mass)
             for key, val in vectors[idx].items():
                 grown[key] = grown.get(key, 0.0) + val
             current.append(idx)
-            consider(running_f + delta)
-            descend(idx + 1, spent + cost, running_f + delta, grown)
+            value = objective(grown.items(), weight_of, concave)
+            ids = tuple(current)
+            if value > best_f or (value == best_f and (len(ids), ids) < (len(best_ids), best_ids)):
+                best_ids, best_f = ids, value
+            descend(idx + 1, spent + cost, grown)
             current.pop()
 
-    descend(0, 0, 0.0, {})
+    descend(0, 0, {})
     return list(best_ids), best_f
 
 
@@ -101,8 +97,7 @@ def brute_force_vectors(
     """brute_force_optimal over explicit relevance vectors, checked as
     greedy_select_vectors checks them."""
     _check_size(len(vectors))
-    plain, costs = _vector_instance(vectors, costs)
-    weights = weights or {}
+    plain, costs, weights = _vector_instance(vectors, costs, weights)
     return _brute(plain, costs, lambda u: float(weights.get(u, 1.0)), concave, budget)
 
 
@@ -129,6 +124,7 @@ def coverage_report(ground: Corpus, selected_ids: Sequence[int], features: Featu
     inside the selection: a pile of K identical sentences has type/token
     ratio 1/K, hence redundancy 1 - 1/K.
     """
+    _check_fitted(features)
     selection = ground.source.take(selected_ids)
     _, position, _ = features._index.pairs(selection)
     return _coverage(features, selection, position)
@@ -157,6 +153,16 @@ class MethodMetrics:
     type_token_ratio: float
 
 
+# every report format's metric columns, in field order after the method name
+_METRICS = tuple(f.name for f in fields(MethodMetrics))[1:]
+_TABLE_METRICS = _METRICS[:5]  # the stderr table stops before the type/token ratio
+
+
+def _text(value, float_format: str = "{!r}") -> str:
+    """A metric as report text: floats in ``float_format``, counts with ``str``."""
+    return float_format.format(value) if isinstance(value, float) else str(value)
+
+
 @dataclass
 class ComparisonReport:
     budget: float
@@ -169,14 +175,7 @@ class ComparisonReport:
     def to_keyvalue_lines(self) -> list[str]:
         lines = [f"budget={self.budget!r}", f"cost_mode={self.cost_mode}"]
         for m in self.methods:
-            lines += [
-                f"{m.method}.objective={m.objective!r}",
-                f"{m.method}.spent={m.spent}",
-                f"{m.method}.size={m.size}",
-                f"{m.method}.coverage={m.coverage!r}",
-                f"{m.method}.redundancy={m.redundancy!r}",
-                f"{m.method}.type_token_ratio={m.type_token_ratio!r}",
-            ]
+            lines += [f"{m.method}.{name}={_text(getattr(m, name))}" for name in _METRICS]
         if self.optimal_objective is not None:
             lines.append(f"oracle.optimal_objective={self.optimal_objective!r}")
             lines.append(f"oracle.optimal_ids={' '.join(str(i) for i in self.optimal_ids)}")
@@ -185,33 +184,17 @@ class ComparisonReport:
         return lines
 
     def to_csv_lines(self) -> list[str]:
-        header = "method,objective,spent,size,coverage,redundancy,type_token_ratio,oracle_ratio"
-        rows = [header]
+        rows = [",".join(["method", *_METRICS, "oracle_ratio"])]
         for m in self.methods:
-            ratio = ""
-            if self.greedy_ratio is not None and m.method == "submod":
-                ratio = repr(self.greedy_ratio)
-            rows.append(
-                f"{m.method},{m.objective!r},{m.spent},{m.size},"
-                f"{m.coverage!r},{m.redundancy!r},{m.type_token_ratio!r},{ratio}"
-            )
+            ratio = repr(self.greedy_ratio) if self.greedy_ratio is not None and m.method == "submod" else ""
+            rows.append(",".join([m.method, *(_text(getattr(m, name)) for name in _METRICS), ratio]))
         return rows
 
     def format_table(self) -> str:
-        cols = ["method", "objective", "spent", "size", "coverage", "redundancy"]
-        rows = [cols]
+        rows = [["method", *_TABLE_METRICS]]
         for m in self.methods:
-            rows.append(
-                [
-                    m.method,
-                    f"{m.objective:.4f}",
-                    str(m.spent),
-                    str(m.size),
-                    f"{m.coverage:.4f}",
-                    f"{m.redundancy:.4f}",
-                ]
-            )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(cols))]
+            rows.append([m.method, *(_text(getattr(m, name), "{:.4f}") for name in _TABLE_METRICS)])
+        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         out = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
         if self.optimal_objective is not None:
             out.append(
@@ -296,20 +279,10 @@ def compare_methods(
     unk_floor: int = 1,
 ) -> ComparisonReport:
     """Run both selectors on identical inputs and report side-by-side metrics."""
-    from .features import extract_feature_set, fit_idf
-    from .submodular import greedy_select
-    from .xent import rank_and_select, score_corpus, train_domain_pair
-
     features = fit_idf(extract_feature_set(in_domain, max_order, feature_weighting), ground)
     submod_state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
     lm_in, lm_out = train_domain_pair(in_domain, ground, lm_order, lm_smoothing, unk_floor=unk_floor)
     scores = score_corpus(ground, lm_in, lm_out)
     xent_state = rank_and_select(ground, scores, budget, cost_mode)
-    return build_report(
-        ground,
-        features,
-        concave,
-        [("submod", submod_state.selected), ("xent", xent_state.selected)],
-        budget,
-        cost_mode,
-    )
+    selections = [("submod", submod_state.selected), ("xent", xent_state.selected)]
+    return build_report(ground, features, concave, selections, budget, cost_mode)

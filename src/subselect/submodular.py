@@ -23,7 +23,7 @@ variants are identical.
 ``objective`` is the one from-scratch f, over a selection's (feature,
 relevance) pairs; ``evaluate``, the report and the oracle all use it.
 ``reference_gain`` is the one scalar gain, used by ``marginal_gain`` and
-the oracle. The greedy's own gains come from the array kernel
+the kernel tests. The greedy's own gains come from the array kernel
 ``_Problem.gains``, which evaluates many rows per numpy call and gives
 each row bit for bit what ``np.sum`` gives over that row's terms alone
 (a float order the selection files depend on); it stays separate so
@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -240,13 +241,22 @@ def _plain(vectors: Iterable[FeatureVector | Mapping]) -> list[Mapping]:
     return [vec.entries if isinstance(vec, FeatureVector) else vec for vec in vectors]
 
 
-def _vector_instance(vectors, costs) -> tuple[list[Mapping], list[int]]:
-    """Check an explicit instance; return its plain vectors and integer costs."""
+def _check_nonnegative(what: str, values: Iterable) -> None:
+    for value in values:
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            raise ConfigError(f"every {what} must be a finite number >= 0, got {value!r}")
+
+
+def _vector_instance(vectors, costs, weights: Mapping | None) -> tuple[list[Mapping], list[int], Mapping]:
+    """Check an explicit instance; return its plain vectors, integer costs and weights."""
     if len(vectors) != len(costs):
         raise ConfigError(f"{len(vectors)} vectors but {len(costs)} costs")
     if any(not math.isfinite(c) or c < 1 or c != int(c) for c in costs):
         raise ConfigError("every cost must be a positive integer")
-    return _plain(vectors), [int(c) for c in costs]
+    plain, weights = _plain(vectors), weights or {}
+    _check_nonnegative("relevance", chain.from_iterable(entries.values() for entries in plain))
+    _check_nonnegative("weight", weights.values())
+    return plain, [int(c) for c in costs], weights
 
 
 def sentence_costs(sentences: Corpus | TokenStream, cost_mode: str) -> np.ndarray:
@@ -302,8 +312,8 @@ def objective(pairs: Iterable[tuple], weight_of: Callable, concave: ConcaveSpec)
 def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave: ConcaveSpec) -> float:
     """Gain of adding one relevance vector to accumulated ``mass``, feature by feature.
 
-    The scalar definition that ``marginal_gain`` and the oracle use to
-    check ``_Problem.gains``, the greedy's array kernel, with code the
+    The scalar definition that ``marginal_gain`` and the kernel tests use
+    to check ``_Problem.gains``, the greedy's array kernel, with code the
     kernel does not share.
     """
     gain = 0.0
@@ -502,9 +512,10 @@ def greedy_select_vectors(
     """greedy_select over explicit relevance vectors instead of a corpus.
 
     Useful for hand-built instances; item i has vector vectors[i] and
-    positive integer cost costs[i].
+    positive integer cost costs[i]. Relevances and ``weights`` (1.0 where
+    absent) must be finite and >= 0.
     """
-    plain, costs = _vector_instance(vectors, costs)
+    plain, costs, weights = _vector_instance(vectors, costs, weights)
     cost_mode = "unit" if all(c == 1 for c in costs) else "words"
     problem = _Problem(_vector_rows(plain, weights), costs)
     return _run_greedy(problem, concave, budget, cost_mode, variant)

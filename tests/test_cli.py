@@ -225,6 +225,15 @@ class TestSelect:
         assert rc == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("method", ["submod", "both"])
+    @pytest.mark.parametrize("flag", [("--max-order", "0"), ("--max-order", "-1")], ids=" ".join)
+    def test_bad_feature_settings_exit_2_before_writing(self, corpora, method, flag):
+        # checked before loading, as extract_feature_set would check them
+        tmp, ground, in_domain = corpora
+        rc, out_dir = self.run_select(tmp, ground, in_domain, "feat", "--method", method, *flag)
+        assert rc == 2
+        assert not out_dir.exists()
+
     def test_variants_agree_end_to_end(self, corpora):
         tmp, ground, in_domain = corpora
         _, a = self.run_select(tmp, ground, in_domain, "vn", "--variant", "naive")
@@ -576,6 +585,19 @@ class TestConfigFile:
         tmp, ground, in_domain = corpora
         cfg = write(tmp / "run.cfg", "max-order=2\n")
         assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["--conf FILE", "--conf=FILE"])
+    def test_abbreviated_config_exits_2_before_writing(self, corpora, capsys, joined):
+        # argparse takes --conf for --config, but only the full spelling is read,
+        # so a run would go on with the file's settings silently ignored
+        tmp, ground, in_domain = corpora
+        cfg = write(tmp / "run.cfg", "max-order=2\n")
+        out_dir = tmp / "sel"
+        conf = [f"--conf={cfg}"] if joined else ["--conf", cfg]
+        rc = main(["select", *conf, "--in-domain-src", in_domain, "--ground-src", ground, "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "spell --config in full" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestUsageErrors:

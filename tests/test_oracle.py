@@ -17,7 +17,14 @@ from subselect.oracle import (
     coverage_report,
     method_metrics,
 )
-from subselect.submodular import ConcaveSpec, evaluate, greedy_select, greedy_select_vectors
+from subselect.submodular import (
+    ConcaveSpec,
+    evaluate,
+    greedy_select,
+    greedy_select_vectors,
+    objective,
+    sentence_costs,
+)
 
 from support import make_corpus, make_instance, random_curve
 
@@ -29,6 +36,19 @@ UNIT = [1, 1, 1]
 
 def corpus_of(*lines):
     return Corpus(tuple(Sentence(i, tuple(line.split())) for i, line in enumerate(lines)))
+
+
+def optimum_by_definition(costs, budget, value_of):
+    """(ids, value) of the best subset within budget, ties to the fewest ids,
+    then the lexicographically smallest, by scoring every subset."""
+    values = {
+        combo: value_of(combo)
+        for r in range(len(costs) + 1)
+        for combo in itertools.combinations(range(len(costs)), r)
+        if sum(costs[i] for i in combo) <= budget
+    }
+    best = max(values.values())
+    return list(min((combo for combo, v in values.items() if v == best), key=lambda c: (len(c), c))), best
 
 
 class TestBruteForce:
@@ -74,6 +94,41 @@ class TestBruteForce:
                 f, rel=1e-12, abs=1e-12
             )
 
+    def test_returns_the_best_evaluate_value_exactly(self):
+        # the oracle's definition, pinned bit for bit: the largest from-scratch
+        # value over every subset within budget, ties to the fewest ids and then
+        # the lexicographically smallest
+        rng = random.Random(15)
+        for _ in range(40):
+            n = rng.randint(0, 8)
+            pool = [{u: rng.choice([0.5, 1.0, 2.0, 3.0]) for u in rng.sample("uvwx", rng.randint(0, 3))}
+                    for _ in range(rng.randint(1, 4))]
+            vectors = [dict(rng.choice(pool)) for _ in range(n)]  # repeats force ties
+            costs = [rng.randint(1, 3) for _ in range(n)]
+            budget = rng.randint(0, sum(costs) + 1)
+            weights = rng.choice([{}, {"u": 2.0, "v": 0.0}, {"w": 0.25}])
+            curve = random_curve(rng)
+            ids, f = brute_force_vectors(vectors, costs, curve, budget=budget, weights=weights)
+
+            def value_of(combo):
+                if not weights:
+                    return evaluate([vectors[i] for i in combo], None, curve)
+                pairs = itertools.chain.from_iterable(vectors[i].items() for i in combo)
+                return objective(pairs, lambda u: weights.get(u, 1.0), curve)
+
+            assert (ids, f) == optimum_by_definition(costs, budget, value_of)
+        for _ in range(20):
+            ground, _, features = make_instance(rng, n_ground=rng.randint(1, 9), max_len=4)
+            cost_mode = rng.choice(["words", "unit"])
+            costs = sentence_costs(ground, cost_mode).tolist()
+            budget = rng.randint(1, sum(costs))
+            curve = random_curve(rng)
+            vecs = [featurize(sentence, features) for sentence in ground]
+            ids, f = brute_force_optimal(ground, features, curve, budget, cost_mode)
+            expected = optimum_by_definition(costs, budget, lambda combo: evaluate(
+                [vecs[i] for i in combo], features, curve))
+            assert (ids, f) == expected
+
     def test_weighted_features_respected(self):
         vectors = [{"u": 4.0}, {"v": 4.0}]
         ids, f = brute_force_vectors(vectors, [1, 1], SQRT, budget=1, weights={"v": 10.0})
@@ -98,19 +153,27 @@ class TestBruteForce:
         with pytest.raises(StateError):
             brute_force_optimal(ground, extract_feature_set(ground, 1), SQRT, budget=3)
 
-    @pytest.mark.parametrize("vectors, costs", [
-        ([{"u": 1.0}], [-3]),  # a negative cost would free budget
-        ([{"u": 1.0}], [0]),
-        ([{"u": 1.0}], [1.5]),
-        ([{"u": 1.0}, {"v": 1.0}], [1]),
-        ([{"u": 1.0}], [math.nan]),
-        ([{"u": 1.0}], [math.inf]),
-    ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch", "nan-cost", "infinite-cost"])
-    def test_bad_vector_instance_rejected_as_the_greedy_rejects_it(self, vectors, costs):
+    @pytest.mark.parametrize("vectors, costs, weights", [
+        ([{"u": 1.0}], [-3], None),  # a negative cost would free budget
+        ([{"u": 1.0}], [0], None),
+        ([{"u": 1.0}], [1.5], None),
+        ([{"u": 1.0}, {"v": 1.0}], [1], None),
+        ([{"u": 1.0}], [math.nan], None),
+        ([{"u": 1.0}], [math.inf], None),
+        ([{"u": -1.0}], [1], None),  # the sqrt of a negative mass is NaN
+        ([{"u": math.nan}], [1], None),
+        ([{"u": math.inf}], [1], None),
+        ([{"u": "1"}], [1], None),
+        ([{"u": 1.0}, {"v": 2.0}], [1, 1], {"u": math.nan}),  # a NaN gain ranked as the best
+        ([{"u": 1.0}], [1], {"u": -2.0}),
+    ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch", "nan-cost", "infinite-cost",
+            "negative-relevance", "nan-relevance", "infinite-relevance", "text-relevance", "nan-weight",
+            "negative-weight"])
+    def test_bad_vector_instance_rejected_as_the_greedy_rejects_it(self, vectors, costs, weights):
         with pytest.raises(ConfigError) as greedy_error:
-            greedy_select_vectors(vectors, costs, SQRT, budget=1)
+            greedy_select_vectors(vectors, costs, SQRT, budget=1, weights=weights)
         with pytest.raises(ConfigError) as oracle_error:
-            brute_force_vectors(vectors, costs, SQRT, budget=1)
+            brute_force_vectors(vectors, costs, SQRT, budget=1, weights=weights)
         assert str(oracle_error.value) == str(greedy_error.value)
 
     def test_unknown_cost_mode_rejected_as_the_greedy_rejects_it(self):
@@ -228,6 +291,12 @@ class TestReports:
         unfitted = extract_feature_set(corpus_of("a b", "c d", "b c"), 2)
         with pytest.raises(StateError, match="unfitted"):
             method_metrics(self.ground, unfitted, SQRT, "submod", [0, 2], "words")
+
+    def test_coverage_report_rejects_an_unfitted_set(self):
+        # no doc_freq is positive, so the selection would cover 0.0
+        unfitted = extract_feature_set(corpus_of("a b", "c d", "b c"), 2)
+        with pytest.raises(StateError, match="unfitted"):
+            coverage_report(self.ground, [0, 2], unfitted)
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
     def test_build_report_rejects_a_bad_budget(self, budget):
