@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .corpus import TOKENIZERS, load_corpus
+from .corpus import TOKENIZERS, load_corpus, read_lines
 from .errors import ConfigError, SubselectError
 from .features import FEATURE_WEIGHTINGS, check_feature_settings, extract_feature_set, fit_idf, load_feature_set
 from .features import save_feature_set
@@ -163,15 +163,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _parse_config_file(path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -425,8 +424,6 @@ def cmd_report(args) -> int:
             f"but {args.ground_src} has {len(ground)}"
         )
     concave = ConcaveSpec.parse(args.concave)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     selections = []
     path_of: dict[str, str] = {}
     for path in args.selection:
@@ -439,6 +436,8 @@ def cmd_report(args) -> int:
             if sid >= len(ground):
                 raise ConfigError(f"{path} line {lineno}: sentence {sid} is not in the {len(ground)}-sentence pool")
         selections.append((name, list(ids)))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # no budget is known here: 0.0 says so, and build_report adds no optimum
     report = build_report(ground, features, concave, selections, budget=0.0, cost_mode=args.cost_mode)
     write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")

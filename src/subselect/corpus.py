@@ -228,13 +228,25 @@ class Corpus:
         return int(self.source.lens.sum())
 
 
-def _read_lines(path) -> list[str]:
-    # only "\n" ends a line; a stray "\r" stays in the line, where the
-    # tokenizer treats it as whitespace, so it cannot shift a parallel pair
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+def read_text(path, newline: str | None = None) -> str:
+    """A file's UTF-8 text, line ends translated as ``open``'s ``newline`` says; bytes
+    that are not UTF-8 raise ``ConfigError`` naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if newline is None:  # no UTF-8 character holds a "\r" or "\n" byte, so translate bytes
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path} line {line}: not UTF-8 text") from None
+
+
+def read_lines(path, newline: str | None = None) -> list[str]:
+    """``read_text`` split at "\n", without the empty text after a final newline."""
+    lines = read_text(path, newline).split("\n")
     if lines[-1] == "":
-        lines.pop()  # text after the final newline, not a blank line
+        lines.pop()
     return lines
 
 
@@ -255,14 +267,15 @@ def load_corpus(source_path, target_path=None, tokenizer: str = "whitespace") ->
     Raises:
         AlignmentError: line counts differ, or a pair is half-blank.
         EmptyCorpusError: no usable sentence remains.
-        ConfigError: unknown tokenizer id.
+        ConfigError: unknown tokenizer id, or a file that is not UTF-8.
         OSError: a file cannot be read.
     """
     tokenize("", tokenizer)  # fail fast on a bad tokenizer id
-    src_lines = _read_lines(source_path)
+    # only "\n" ends a line: a stray "\r" is whitespace to the tokenizer, so it cannot shift a pair
+    src_lines = read_lines(source_path, newline="")
     tgt_lines = None
     if target_path is not None:
-        tgt_lines = _read_lines(target_path)
+        tgt_lines = read_lines(target_path, newline="")
         if len(src_lines) != len(tgt_lines):
             raise AlignmentError(
                 f"source/target line counts differ: {len(src_lines)} vs {len(tgt_lines)}"

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, TokenStream, as_stream
+from .corpus import Corpus, Sentence, TokenStream, as_stream, read_lines
 from .errors import ConfigError, EmptyCorpusError, StateError
 from .ngramkeys import chain_ranks, depths, prefix_tree, spell
 
@@ -326,9 +326,9 @@ class _NgramIndex:
 class RelevanceRows:
     """Relevance of sentences to the features with idf > 0, as a CSR matrix.
 
-    Row i's columns are ``cols[indptr[i]:indptr[i + 1]]``, ascending, with
-    relevance ``vals`` (count * idf) at the same offsets. Column j is the
-    feature ``names[j]`` with weight ``weights[j]``.
+    Row i's columns are ``cols[indptr[i]:indptr[i + 1]]``, ascending (in entry order where
+    ``submodular._entry_rows`` built them), with relevance ``vals`` (count * idf) at the same
+    offsets. Column j is the feature ``names[j]`` with weight ``weights[j]``.
     """
 
     indptr: np.ndarray
@@ -535,10 +535,7 @@ def load_feature_set(path) -> FeatureSet:
     weight and an integer doc_freq from 0 to the ground size. A record
     that breaks a rule is a ``ConfigError`` naming its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines:
         raise ConfigError(f"{path}: empty file, not a feature-set file")
     magic = lines[0].split("\t")

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, TokenStream, as_stream
+from .corpus import Corpus, Sentence, TokenStream, as_stream, read_text
 from .errors import ConfigError, EmptyCorpusError
 from .features import _CHUNK
 from .ngramkeys import _LazyMapping, chain_ranks, depths, prefix_tree, rank, spell
@@ -397,11 +397,10 @@ def load_lm(path) -> NgramLanguageModel:
     markers, and every history must extend one the next-shorter order
     has. Anything else raises ``ConfigError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not a language-model file") from exc
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not a language-model file") from exc
     if not isinstance(payload, dict) or payload.get("format") != LM_MAGIC:
         raise ConfigError(f"{path}: not a language-model file")
     if payload.get("version") != LM_VERSION:

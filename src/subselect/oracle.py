@@ -3,10 +3,11 @@
 brute_force_optimal enumerates every budget-feasible subset, so it is
 capped at 20 sentences and exists to verify the greedy's approximation
 quality on desk-scale instances, not to select corpora. It scores every
-subset that fits the budget with ``objective``, the reference definition
-in ``submodular``, never with the greedy's array kernel, so it checks
-that kernel independently. The report scores every method with the same
-``objective`` and builds each of its formats from ``MethodMetrics``' fields.
+subset that fits the budget as ``objective``, the reference definition
+in ``submodular``, does (column masses in first-touch order, then its
+``_weighted_sum``), never with the greedy's array kernel, so it checks
+that kernel independently. The report scores every method with
+``objective`` itself and builds each of its formats from ``MethodMetrics``' fields.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import SizeCapError
 from .features import FeatureSet, FeatureVector, _check_fitted, _relevance, count_ngrams
 from .features import extract_feature_set, fit_idf
 from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, greedy_select, objective, sentence_costs
-from .submodular import _corpus_costs, _vector_instance
+from .submodular import _corpus_costs, _entry_rows, _vector_instance, _weighted_sum
 from .xent import rank_and_select, score_corpus, train_domain_pair
 
 ORACLE_MAX_SENTENCES = 20
@@ -37,34 +38,35 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"the exhaustive oracle is a test tool capped at {ORACLE_MAX_SENTENCES} sentences, not {n}")
 
 
-def _brute(vectors, costs, weight_of, concave, budget):
-    """Depth-first over ids in ascending order, scoring every subset that fits
-    with ``objective`` over its accumulated mass."""
-    n = len(vectors)
+def _brute(indptr, cols, vals, weights, costs, concave, budget):
+    """Depth-first over ascending ids, scoring each subset that fits as ``objective`` would: prefix
+    masses plus the new CSR row's, then ``_weighted_sum``. A budget of 0 selects nothing; any
+    other is checked as the greedy checks it."""
+    if budget != 0:
+        check_budget(budget)
+    n = len(costs)
+    bounds, cols, vals = indptr.tolist(), cols.tolist(), vals.tolist()
+    rows = [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     best_ids: tuple[int, ...] = ()
     best_f = 0.0
-    current: list[int] = []
 
-    def descend(start: int, spent: int, mass: dict) -> None:
+    def descend(start: int, spent: int, prefix: tuple[int, ...], mass: dict) -> None:
         nonlocal best_ids, best_f
         for idx in range(start, n):
             cost = costs[idx]
             if spent + cost > budget:
                 continue
-            # the prefix's masses plus this item's, in pair order: the keys and
-            # sums objective would rebuild from the subset's pairs
             grown = dict(mass)
-            for key, val in vectors[idx].items():
-                grown[key] = grown.get(key, 0.0) + val
-            current.append(idx)
-            value = objective(grown.items(), weight_of, concave)
-            ids = tuple(current)
+            for col, val in rows[idx]:
+                grown[col] = grown.get(col, 0.0) + val
+            touched = np.fromiter(grown, np.int64, len(grown))
+            value = _weighted_sum(weights[touched], np.fromiter(grown.values(), np.float64, len(grown)), concave)
+            ids = prefix + (idx,)
             if value > best_f or (value == best_f and (len(ids), ids) < (len(best_ids), best_ids)):
                 best_ids, best_f = ids, value
-            descend(idx + 1, spent + cost, grown)
-            current.pop()
+            descend(idx + 1, spent + cost, ids, grown)
 
-    descend(0, 0, {})
+    descend(0, 0, (), {})
     return list(best_ids), best_f
 
 
@@ -81,10 +83,8 @@ def brute_force_optimal(
     _check_size(len(ground))
     costs = _corpus_costs(ground, features, cost_mode)
     row, feature, relevance = _relevance(features, features._index.pairs(ground))
-    vectors: list[dict] = [{} for _ in ground]
-    for r, u, val in zip(row.tolist(), feature.tolist(), relevance.tolist()):
-        vectors[r][u] = val
-    return _brute(vectors, costs, features.weight.tolist().__getitem__, concave, budget)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(ground)))])
+    return _brute(indptr, feature, relevance, features.weight, costs, concave, budget)
 
 
 def brute_force_vectors(
@@ -98,7 +98,8 @@ def brute_force_vectors(
     greedy_select_vectors checks them."""
     _check_size(len(vectors))
     plain, costs, weights = _vector_instance(vectors, costs, weights)
-    return _brute(plain, costs, lambda u: float(weights.get(u, 1.0)), concave, budget)
+    rows = _entry_rows(plain, weights)
+    return _brute(rows.indptr, rows.cols, rows.vals, rows.weights, costs, concave, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def method_metrics(
     spent = int(sentence_costs(selection, cost_mode).sum())
     pairs = features._index.pairs(selection)
     _, feature, relevance = _relevance(features, pairs)
-    value = objective(zip(feature.tolist(), relevance.tolist()), features.weight.tolist().__getitem__, concave)
+    value = objective(feature, relevance, features.weight, concave)
     stats = _coverage(features, selection, pairs[1])
     return MethodMetrics(
         method, value, spent, len(selected_ids), stats.coverage, stats.redundancy, stats.type_token_ratio

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .errors import ConfigError
 from .oracle import ComparisonReport
 from .submodular import SelectionState
@@ -70,15 +70,14 @@ def write_report_files(report: ComparisonReport, txt_path, csv_path) -> None:
 def read_selection_ids(path) -> dict[int, int]:
     """Sentence ids from a selection TSV, in selection order, each mapped to its line."""
     ids: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if parts == [""]:
-                continue
-            if len(parts) < 2 or not parts[1].isdecimal():
-                raise ConfigError(f"{path} line {lineno}: column 2 is not a sentence id")
-            sid = int(parts[1])
-            if sid in ids:
-                raise ConfigError(f"{path} line {lineno}: sentence {sid} was already selected on line {ids[sid]}")
-            ids[sid] = lineno
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split("\t")
+        if parts == [""]:
+            continue
+        if len(parts) < 2 or not parts[1].isdecimal():
+            raise ConfigError(f"{path} line {lineno}: column 2 is not a sentence id")
+        sid = int(parts[1])
+        if sid in ids:
+            raise ConfigError(f"{path} line {lineno}: sentence {sid} was already selected on line {ids[sid]}")
+        ids[sid] = lineno
     return ids

@@ -20,8 +20,8 @@ grows, a stale value is an upper bound, and an entry that is still on
 top after recomputation is safe to take. Trajectories of the two
 variants are identical.
 
-``objective`` is the one from-scratch f, over a selection's (feature,
-relevance) pairs; ``evaluate``, the report and the oracle all use it.
+``objective`` is the one from-scratch f, over integer (column, relevance)
+pairs and a weight array; ``evaluate``, the report and the oracle use it.
 ``reference_gain`` is the one scalar gain, used by ``marginal_gain`` and
 the kernel tests. The greedy's own gains come from the array kernel
 ``_Problem.gains``, which evaluates many rows per numpy call and gives
@@ -42,7 +42,7 @@ import logging
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -225,16 +225,20 @@ class _Problem:
         mass[self.cols[lo:hi]] += self.vals[lo:hi]
 
 
+def _entry_rows(plain: list[Mapping], weights: FeatureSet | Mapping | None) -> RelevanceRows:
+    """Relevance vectors as a CSR matrix in entry order, columns numbered as keys are first seen."""
+    col_of: dict = {}
+    cols = np.array([col_of.setdefault(key, len(col_of)) for entries in plain for key in entries], dtype=np.int32)
+    vals = np.fromiter(chain.from_iterable(entries.values() for entries in plain), np.float64, len(cols))
+    warr = np.array(list(map(_weight_of(weights), col_of)), dtype=np.float64)
+    return RelevanceRows(np.cumsum([0, *map(len, plain)], dtype=np.int64), cols, vals, list(col_of), warr)
+
+
 def _vector_rows(plain: list[Mapping], weights: Mapping | None) -> RelevanceRows:
-    """Explicit relevance vectors as a CSR matrix, columns in first-seen order."""
-    names = list(dict.fromkeys(chain.from_iterable(plain)))
-    col_of = {key: col for col, key in enumerate(names)}
-    weights = weights or {}
-    warr = np.array([float(weights.get(key, 1.0)) for key in names], dtype=np.float64)
-    rows = [sorted((col_of[k], float(v)) for k, v in entries.items()) for entries in plain]
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    flat = np.array([pair for row in rows for pair in row], dtype=np.float64).reshape(-1, 2)
-    return RelevanceRows(indptr, flat[:, 0].astype(np.int32), flat[:, 1], names, warr)
+    """``_entry_rows`` with each row's columns ascending, as the greedy's kernel needs."""
+    rows = _entry_rows(plain, weights)
+    by_col = np.lexsort((rows.cols, np.repeat(np.arange(len(plain)), np.diff(rows.indptr))))
+    return replace(rows, cols=rows.cols[by_col], vals=rows.vals[by_col])
 
 
 def _plain(vectors: Iterable[FeatureVector | Mapping]) -> list[Mapping]:
@@ -291,22 +295,22 @@ def _corpus_costs(ground: Corpus, features: FeatureSet, cost_mode: str) -> list[
 # the objective and its reference gain
 
 
-def objective(pairs: Iterable[tuple], weight_of: Callable, concave: ConcaveSpec) -> float:
-    """f(X) from scratch, over X's (feature, relevance) pairs in selection order.
+def _weighted_sum(weights: np.ndarray, mass: np.ndarray, concave: ConcaveSpec) -> float:
+    """The sum of ``weights * phi(mass)``, added left to right onto 0.0."""
+    return float(np.add.accumulate(weights * concave.apply(mass))[-1]) + 0.0 if len(mass) else 0.0
 
-    Masses add up in pair order; the weighted curve values are then summed
-    left to right, features in the order the pairs first touch them.
-    ``evaluate``, the report and the oracle all score selections here, so
-    their numbers agree bit for bit.
+
+def objective(cols, vals, weights: np.ndarray, concave: ConcaveSpec) -> float:
+    """f(X) from scratch, over X's (column, relevance) pairs in selection order.
+
+    Masses add up in pair order; the curve values times ``weights[column]`` are
+    then summed left to right, columns in the order the pairs first touch them.
+    ``evaluate``, the report and the oracle all score so, agreeing bit for bit.
     """
-    mass: dict = {}
-    for key, val in pairs:
-        mass[key] = mass.get(key, 0.0) + val
-    phi = concave.apply(np.fromiter(mass.values(), dtype=np.float64, count=len(mass))).tolist()
-    total = 0.0
-    for key, value in zip(mass, phi):
-        total += weight_of(key) * value
-    return total
+    touched, first, inverse = np.unique(cols, return_index=True, return_inverse=True)
+    mass = np.bincount(inverse, weights=vals, minlength=len(touched))  # adds in pair order, onto 0.0
+    by_first = np.argsort(first)
+    return _weighted_sum(weights[touched[by_first]], mass[by_first], concave)
 
 
 def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave: ConcaveSpec) -> float:
@@ -325,26 +329,24 @@ def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave
     return gain
 
 
-def _weight_of(features: FeatureSet | None) -> Callable:
-    if features is None:
-        return lambda key: 1.0
-    position_of = features._index.position_of
-    return lambda key: float(features.weight[position_of[key]])
+def _weight_of(weights: FeatureSet | Mapping | None) -> Callable:
+    """Key -> weight, from a feature set, or from a mapping with 1.0 where absent."""
+    if isinstance(weights, FeatureSet):
+        position_of = weights._index.position_of
+        return lambda key: float(weights.weight[position_of[key]])
+    return lambda key: float((weights or {}).get(key, 1.0))
 
 
 def evaluate(selection, features: FeatureSet | None = None, concave: ConcaveSpec = DEFAULT_CONCAVE) -> float:
-    """Objective value of a selection, from scratch.
+    """Objective value of a selection, from scratch, by ``objective``.
 
-    ``selection`` is either a SelectionState (its accumulated mass is
-    used) or an iterable of FeatureVector / mapping, whose masses are
-    summed first. Feature weights come from ``features`` when given,
-    else 1.0. The empty selection scores 0.
+    ``selection`` is a SelectionState (its mass scored as one vector) or an iterable
+    of FeatureVector / mapping, summed in order. Feature weights come from
+    ``features`` when given, else 1.0. The empty selection scores 0.
     """
-    if isinstance(selection, SelectionState):
-        pairs = selection.mass.items()
-    else:
-        pairs = chain.from_iterable(entries.items() for entries in _plain(selection))
-    return objective(pairs, _weight_of(features), concave)
+    vectors = [selection.mass] if isinstance(selection, SelectionState) else _plain(selection)
+    rows = _entry_rows(vectors, features)
+    return objective(rows.cols, rows.vals, rows.weights, concave)
 
 
 def marginal_gain(

@@ -618,3 +618,51 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert "ratio=1.0" in proc.stdout
+
+
+@pytest.fixture
+def artifacts(corpora):
+    """Valid files of every kind the CLI reads, written by the CLI itself."""
+    tmp, ground, in_domain = corpora
+    assert main(["extract-features", "--in-domain-src", in_domain, "--ground-src", ground,
+                 "--max-order", "2", "--out", str(tmp / "f.tsv")]) == 0
+    assert main(["train-lm", "--src", in_domain, "--order", "2", "--extra-vocab-src", ground,
+                 "--out", str(tmp / "in.lm")]) == 0
+    write(tmp / "sel.tsv", "1\t0\t1.0\t2\n2\t2\t1.0\t2\n")
+    write(tmp / "select.conf", "# settings\nbudget-words = 4\nmethod = submod\n")
+    return tmp, ground, in_domain
+
+
+def _undecodable(path, line):
+    """Put a byte that no UTF-8 text holds at the start of ``path``'s 1-based ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestUndecodableInput:
+    # (reader, file to corrupt, line, argv with {tmp}, {ground} and {in_domain} filled in)
+    CASES = [
+        ("corpus", "indomain.src", 2, "train-lm --src {in_domain} --out {tmp}/m.lm"),
+        ("lm", "in.lm", 1, "score --ground-src {ground} --lm-in {tmp}/in.lm --lm-out {tmp}/in.lm "
+                           "--out {tmp}/s.tsv"),
+        ("feature-set", "f.tsv", 3, "report --features {tmp}/f.tsv --ground-src {ground} "
+                                    "--selection {tmp}/sel.tsv --out-dir {tmp}/out"),
+        ("selection", "sel.tsv", 2, "report --features {tmp}/f.tsv --ground-src {ground} "
+                                    "--selection {tmp}/sel.tsv --out-dir {tmp}/out"),
+        ("config", "select.conf", 2, "select --config {tmp}/select.conf --ground-src {ground} "
+                                     "--in-domain-src {in_domain} --out-dir {tmp}/out"),
+        ("select-corpus", "ground.src", 4, "select --ground-src {ground} --in-domain-src {in_domain} "
+                                           "--out-dir {tmp}/out"),
+    ]
+
+    @pytest.mark.parametrize("name, target, line, argv", CASES, ids=[case[0] for case in CASES])
+    def test_a_file_that_is_not_utf8_is_a_usage_error(self, artifacts, capsys, name, target, line, argv):
+        tmp, ground, in_domain = artifacts
+        _undecodable(tmp / target, line)
+        rc = main(argv.format(tmp=tmp, ground=ground, in_domain=in_domain).split())
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {tmp / target} line {line}: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not (tmp / "out").exists()

@@ -29,6 +29,7 @@ from subselect.oracle import coverage_report, method_metrics
 from subselect.submodular import evaluate
 
 from features_reference import iter_ngrams
+from objective_reference import ref_evaluate
 from support import CURVES, make_corpus
 
 TOKENS = ["a", "b", "c", "d"]
@@ -57,19 +58,6 @@ def ref_featurize(sentence, features):
         for u, c in counts.items()
         if features.features[u].idf is not None and features.features[u].idf > 0.0
     }
-
-
-def ref_objective(vectors, features, curve):
-    """f over plain dicts: masses summed in selection order, then the weighted
-    curve values summed left to right, features in first-touch order."""
-    mass = {}
-    for vec in vectors:
-        for u, v in vec.items():
-            mass[u] = mass.get(u, 0.0) + v
-    total = 0.0
-    for u, m in mass.items():
-        total += features.features[u].weight * float(curve.apply(m))
-    return total
 
 
 def ref_rows(sentences, features):
@@ -118,8 +106,9 @@ def check_against_reference(features, ground, ids, curve):
     metrics = method_metrics(ground, features, curve, "m", ids, "words")
     vectors = [ref_featurize(ground[i], features) for i in ids]
     assert metrics.objective == evaluate(vectors, features, curve)
-    assert metrics.objective == ref_objective(vectors, features, curve)
-    assert evaluate(vectors, features, curve) == ref_objective(vectors, features, curve)
+    weight_of = lambda u: features.features[u].weight
+    assert metrics.objective == ref_evaluate(vectors, weight_of, curve)
+    assert evaluate(vectors, features, curve) == ref_evaluate(vectors, weight_of, curve)
 
 
 sentences = st.lists(st.lists(st.sampled_from(TOKENS), min_size=0, max_size=9), min_size=1, max_size=8)

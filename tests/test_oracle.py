@@ -22,10 +22,10 @@ from subselect.submodular import (
     evaluate,
     greedy_select,
     greedy_select_vectors,
-    objective,
     sentence_costs,
 )
 
+from objective_reference import ref_evaluate
 from support import make_corpus, make_instance, random_curve
 
 SQRT = ConcaveSpec("power", 0.5)
@@ -113,8 +113,7 @@ class TestBruteForce:
             def value_of(combo):
                 if not weights:
                     return evaluate([vectors[i] for i in combo], None, curve)
-                pairs = itertools.chain.from_iterable(vectors[i].items() for i in combo)
-                return objective(pairs, lambda u: weights.get(u, 1.0), curve)
+                return ref_evaluate([vectors[i] for i in combo], lambda u: weights.get(u, 1.0), curve)
 
             assert (ids, f) == optimum_by_definition(costs, budget, value_of)
         for _ in range(20):
@@ -174,6 +173,21 @@ class TestBruteForce:
             greedy_select_vectors(vectors, costs, SQRT, budget=1, weights=weights)
         with pytest.raises(ConfigError) as oracle_error:
             brute_force_vectors(vectors, costs, SQRT, budget=1, weights=weights)
+        assert str(oracle_error.value) == str(greedy_error.value)
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_bad_budget_rejected_as_the_greedy_rejects_it(self, budget):
+        with pytest.raises(ConfigError) as greedy_error:
+            greedy_select_vectors(FIXTURE, UNIT, SQRT, budget=budget)
+        with pytest.raises(ConfigError) as oracle_error:
+            brute_force_vectors(FIXTURE, UNIT, SQRT, budget=budget)
+        assert str(oracle_error.value) == str(greedy_error.value)
+        ground = corpus_of("a b", "b c", "c a")
+        features = fit_idf(extract_feature_set(ground, 2), ground)
+        with pytest.raises(ConfigError) as greedy_error:
+            greedy_select(ground, features, SQRT, budget)
+        with pytest.raises(ConfigError) as oracle_error:
+            brute_force_optimal(ground, features, SQRT, budget)
         assert str(oracle_error.value) == str(greedy_error.value)
 
     def test_unknown_cost_mode_rejected_as_the_greedy_rejects_it(self):

@@ -2,7 +2,10 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, StateError
@@ -14,9 +17,11 @@ from subselect.submodular import (
     greedy_select,
     greedy_select_vectors,
     marginal_gain,
+    objective,
 )
 
-from support import make_corpus, make_instance, random_curve
+from objective_reference import ref_objective
+from support import CURVES, make_corpus, make_instance, random_curve
 
 SQRT = ConcaveSpec("power", 0.5)
 
@@ -59,6 +64,38 @@ class TestConcaveSpec:
                 f0, f1, f2 = (float(curve.apply(x)) for x in (t, t + delta, t + 2 * delta))
                 assert f1 >= f0 - 1e-12
                 assert f2 - f1 <= f1 - f0 + 1e-12
+
+
+def bits(value: float) -> str:
+    """A float's exact bits, telling -0.0 from 0.0."""
+    return float(value).hex()
+
+
+class TestObjectiveAgainstReference:
+    """``objective`` over integer columns gives the dict reference's float, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.one_of(st.just(0.0), st.floats(0.0, 1e6))), max_size=14),
+        weights=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 50.0)), min_size=6, max_size=6),
+        curve=st.sampled_from(CURVES),
+    )
+    def test_matches_the_dict_reference(self, pairs, weights, curve):
+        cols = np.array([col for col, _ in pairs], dtype=np.int32)
+        vals = np.array([val for _, val in pairs], dtype=np.float64)
+        got = objective(cols, vals, np.array(weights), curve)
+        assert bits(got) == bits(ref_objective(pairs, weights.__getitem__, curve))
+
+    def test_empty_input_scores_zero(self):
+        empty = np.empty(0, dtype=np.int32)
+        assert bits(objective(empty, np.empty(0), np.ones(3), SQRT)) == bits(0.0)
+
+    def test_a_leading_negative_zero_term_gives_positive_zero(self):
+        # the reference loop starts at 0.0, and 0.0 + -0.0 is 0.0; a cumulative sum starts at -0.0
+        cols, vals, weights = np.array([0, 1]), np.array([4.0, 0.0]), np.array([-0.0, 2.0])
+        assert bits(ref_objective([(0, 4.0), (1, 0.0)], weights.tolist().__getitem__, SQRT)) == bits(0.0)
+        assert bits(objective(cols, vals, weights, SQRT)) == bits(0.0)
+        assert bits(objective(cols[:1], vals[:1], weights, SQRT)) == bits(0.0)
 
 
 class TestEvaluate:
