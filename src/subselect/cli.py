@@ -4,6 +4,8 @@ Subcommands: extract-features, train-lm, score, select, oracle, report.
 Options may also come from a flat key=value config file (--config);
 explicit flags win. Diagnostics go to stderr, data to the output files.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+`_submod` (the coverage branch), `_write_method` and `_write_report` are
+each spelled once; `--concave` is parsed by argparse, before any input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import ConfigError, SubselectError
 from .features import FEATURE_WEIGHTINGS, check_feature_settings, extract_feature_set, fit_idf, load_feature_set
 from .features import save_feature_set
 from .lm import check_lm_settings, corpus_vocab, load_lm, save_lm, train_lm
-from .oracle import GUARANTEE_FLOOR, brute_force_optimal, brute_force_vectors, build_report
+from .oracle import GUARANTEE_FLOOR, _check_size, brute_force_optimal, brute_force_vectors, build_report
 from .output import (
     read_selection_ids,
     write_report_files,
@@ -115,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--in-domain-tgt", default=None)
     sub.add_argument("--ground-src", required=True)
     sub.add_argument("--ground-tgt", default=None)
-    sub.add_argument("--concave", default="sqrt", help="sqrt, log1p, or power:<alpha>")
+    sub.add_argument("--concave", type=ConcaveSpec.parse, default="sqrt", help="sqrt, log1p, or power:<alpha>")
     sub.add_argument("--variant", choices=("naive", "lazy"), default="lazy")
     sub.add_argument("--lm-order", type=int, default=4)
     sub.add_argument("--lm-smoothing", default="interpolated-wb")
@@ -133,7 +135,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--fixture", action="store_true", help="run the built-in 3-sentence instance")
     sub.add_argument("--in-domain-src", default=None)
     sub.add_argument("--ground-src", default=None)
-    sub.add_argument("--concave", default="sqrt")
+    sub.add_argument("--concave", type=ConcaveSpec.parse, default="sqrt")
     # None until given, so that --fixture can reject them; cmd_oracle fills
     # in the usual defaults for a corpus instance
     given_only = ("tokenizer", "max_order", "feature_weights")
@@ -148,7 +150,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--selection", action="append", required=True,
                      help="selection TSV (repeatable); named by the file name up to its first dot, "
                           "which must differ between files")
-    sub.add_argument("--concave", default="sqrt")
+    sub.add_argument("--concave", type=ConcaveSpec.parse, default="sqrt")
     sub.add_argument("--cost-mode", choices=("words", "unit"), default="words")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_report)
@@ -205,6 +207,7 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
     sub = subs[command]
     valid = sub._option_string_actions  # option string -> action
     injected: list[str] = []
+    _require_files(path)
     for key, value in _parse_config_file(path).items():
         flag = "--" + key
         action = valid.get(flag)
@@ -266,6 +269,25 @@ def _require_files(*paths: str | None) -> None:
             raise ConfigError(f"no such file: {path}")
 
 
+def _submod(ground, in_domain, budget, cost_mode, concave, max_order, weighting, variant="lazy"):
+    """The coverage branch: fit the in-domain n-grams against the pool, then run the greedy."""
+    features = fit_idf(extract_feature_set(in_domain, max_order, weighting), ground)
+    return features, greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
+
+
+def _write_method(out_dir: Path, method: str, ground, state) -> None:
+    """One method's selection TSV, selected sentences and summary."""
+    write_selection_tsv(out_dir / f"{method}.selection.tsv", state)
+    tgt = (out_dir / f"{method}.selected.tgt") if ground.parallel else None
+    write_selected_corpus(ground, state.selected, out_dir / f"{method}.selected.src", tgt)
+    write_summary(out_dir / f"{method}.summary.txt", state, method)
+
+
+def _write_report(out_dir: Path, report) -> None:
+    write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")
+    print(report.format_table(), file=sys.stderr)
+
+
 def cmd_extract_features(args) -> int:
     _require_files(args.in_domain_src, args.ground_src)
     in_domain = load_corpus(args.in_domain_src, None, args.tokenizer)
@@ -325,26 +347,13 @@ def cmd_select(args) -> int:
             "budget %g covers the whole ground set (total cost %g); "
             "selection is unconstrained", budget, total,
         )
-    concave = ConcaveSpec.parse(args.concave)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    selections: list[tuple[str, list[int]]] = []
-    features = None
-
     if args.method in ("submod", "both"):
-        features = fit_idf(
-            extract_feature_set(in_domain, args.max_order, args.feature_weights), ground
-        )
-        state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=args.variant)
-        write_selection_tsv(out_dir / "submod.selection.tsv", state)
-        write_selected_corpus(
-            ground, state.selected,
-            out_dir / "submod.selected.src",
-            (out_dir / "submod.selected.tgt") if ground.parallel else None,
-        )
-        write_summary(out_dir / "submod.summary.txt", state, "submod")
-        selections.append(("submod", state.selected))
+        features, state = _submod(ground, in_domain, budget, cost_mode, args.concave,
+                                  args.max_order, args.feature_weights, args.variant)
+        _write_method(out_dir, "submod", ground, state)
         logger.info("submod: %d sentence(s), spent %d, objective %.6g",
                     len(state.selected), state.spent, state.objective)
 
@@ -355,37 +364,24 @@ def cmd_select(args) -> int:
         scores = score_corpus(ground, lm_in, lm_out)
         write_scores_tsv(out_dir / "xent.scores.tsv", scores)
         xstate = rank_and_select(ground, scores, budget, cost_mode)
-        write_selection_tsv(out_dir / "xent.selection.tsv", xstate)
-        write_selected_corpus(
-            ground, xstate.selected,
-            out_dir / "xent.selected.src",
-            (out_dir / "xent.selected.tgt") if ground.parallel else None,
-        )
-        write_summary(out_dir / "xent.summary.txt", xstate, "xent")
-        selections.append(("xent", xstate.selected))
+        _write_method(out_dir, "xent", ground, xstate)
         logger.info("xent: %d sentence(s), spent %d", len(xstate.selected), xstate.spent)
 
     if args.method == "both":
-        report = build_report(ground, features, concave, selections, budget, cost_mode)
-        write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")
-        print(report.format_table(), file=sys.stderr)
+        selections = [("submod", state.selected), ("xent", xstate.selected)]
+        _write_report(out_dir, build_report(ground, features, args.concave, selections, budget, cost_mode))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    concave = ConcaveSpec.parse(args.concave)
     if args.fixture:
         given = ["--" + name.replace("_", "-") for name in FIXTURE_FIXED if getattr(args, name) is not None]
         if given:
             raise ConfigError(
                 f"--fixture is a fixed instance with its own budget of {FIXTURE_BUDGET}; drop {', '.join(given)}"
             )
-        optimal_ids, optimal_f = brute_force_vectors(
-            FIXTURE_VECTORS, FIXTURE_COSTS, concave, FIXTURE_BUDGET
-        )
-        greedy = greedy_select_vectors(
-            FIXTURE_VECTORS, FIXTURE_COSTS, concave, FIXTURE_BUDGET
-        )
+        optimal_ids, optimal_f = brute_force_vectors(FIXTURE_VECTORS, FIXTURE_COSTS, args.concave, FIXTURE_BUDGET)
+        greedy = greedy_select_vectors(FIXTURE_VECTORS, FIXTURE_COSTS, args.concave, FIXTURE_BUDGET)
     else:
         for name, default in args.instance_defaults.items():
             if getattr(args, name) is None:
@@ -396,11 +392,10 @@ def cmd_oracle(args) -> int:
         ground = load_corpus(args.ground_src, None, args.tokenizer)
         in_domain = load_corpus(args.in_domain_src, None, args.tokenizer)
         budget, cost_mode = _resolve_budget(args, ground)
-        features = fit_idf(
-            extract_feature_set(in_domain, args.max_order, args.feature_weights), ground
-        )
-        optimal_ids, optimal_f = brute_force_optimal(ground, features, concave, budget, cost_mode)
-        greedy = greedy_select(ground, features, concave, budget, cost_mode=cost_mode)
+        _check_size(len(ground))  # before the greedy, which brute_force_optimal does not need
+        features, greedy = _submod(ground, in_domain, budget, cost_mode, args.concave,
+                                   args.max_order, args.feature_weights)
+        optimal_ids, optimal_f = brute_force_optimal(ground, features, args.concave, budget, cost_mode)
     # with nothing to cover, the greedy trivially matches
     ratio = greedy.objective / optimal_f if optimal_f > 0 else 1.0
     print(f"optimal_objective={optimal_f!r}")
@@ -423,11 +418,12 @@ def cmd_report(args) -> int:
             f"feature set was fitted against {features.ground_size} sentences, "
             f"but {args.ground_src} has {len(ground)}"
         )
-    concave = ConcaveSpec.parse(args.concave)
     selections = []
     path_of: dict[str, str] = {}
     for path in args.selection:
         name = Path(path).stem.split(".")[0]
+        if not name or any(c in name for c in ",=\n\r"):
+            raise ConfigError(f"{path}: its report name {name!r} is empty or holds ',', '=' or a line break")
         if name in path_of:
             raise ConfigError(f"{path_of[name]} and {path} would both be reported as {name!r}; rename one")
         path_of[name] = path
@@ -439,9 +435,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # no budget is known here: 0.0 says so, and build_report adds no optimum
-    report = build_report(ground, features, concave, selections, budget=0.0, cost_mode=args.cost_mode)
-    write_report_files(report, out_dir / "report.txt", out_dir / "report.csv")
-    print(report.format_table(), file=sys.stderr)
+    _write_report(out_dir, build_report(ground, features, args.concave, selections, 0.0, args.cost_mode))
     return 0
 
 

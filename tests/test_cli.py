@@ -7,8 +7,10 @@ import pytest
 
 from subselect import cli
 from subselect.cli import main
+from subselect.corpus import load_corpus
 from subselect.features import load_feature_set, save_feature_set
 from subselect.lm import load_lm
+from subselect.oracle import compare_methods
 
 
 def write(path, text):
@@ -264,6 +266,25 @@ class TestSelect:
         assert any(row.startswith("xent,") for row in csv)
         assert (out_dir / "report.txt").read_text().count("=") > 0
 
+    @pytest.mark.parametrize("budget, cost_mode", [
+        (("--budget-words", "6"), "words"), (("--budget-sentences", "2"), "unit"),
+    ], ids=["words", "unit"])
+    def test_both_reports_what_compare_methods_reports(self, corpora, budget, cost_mode):
+        # compare_methods spells the select pipeline outside the CLI, so pin the two together
+        tmp, ground, in_domain = corpora
+        out_dir = tmp / "both"
+        assert main([
+            "select", "--method", "both", "--in-domain-src", in_domain, "--ground-src", ground,
+            "--max-order", "2", "--lm-order", "2", *budget, "--out-dir", str(out_dir),
+        ]) == 0
+        report = compare_methods(
+            load_corpus(ground, None, "whitespace"), load_corpus(in_domain, None, "whitespace"),
+            float(budget[1]), cost_mode, max_order=2, lm_order=2,
+        )
+        assert report.optimal_objective is not None  # the 5-sentence pool is enumerated too
+        assert report.to_keyvalue_lines() == (out_dir / "report.txt").read_text().splitlines()
+        assert report.to_csv_lines() == (out_dir / "report.csv").read_text().splitlines()
+
     def test_parallel_corpus_carries_targets(self, corpora):
         tmp, ground, in_domain = corpora
         tgt = write(tmp / "ground.tgt", "A B\nA B\nC D\nB C\nD A\n")
@@ -374,9 +395,11 @@ class TestOracleCommand:
         ratio = float(dict(l.split("=", 1) for l in out.splitlines())["ratio"])
         assert ratio == pytest.approx(0.3162277660168379, abs=1e-9)
 
-    def test_oversized_ground_set_exits_2(self, tmp_path):
+    def test_oversized_ground_set_exits_2(self, tmp_path, monkeypatch):
         ground = write(tmp_path / "g.src", "".join(f"w{i}\n" for i in range(25)))
         in_domain = write(tmp_path / "i.src", "w0 w1\n")
+        # the size is checked before any feature is fitted or any greedy runs
+        monkeypatch.setattr(cli, "_submod", lambda *args: pytest.fail("the coverage branch ran"))
         rc = main([
             "oracle", "--in-domain-src", in_domain, "--ground-src", ground,
             "--budget-sentences", "2",
@@ -534,6 +557,27 @@ class TestReportCommand:
         assert not (tmp_path / "rep" / "report.txt").exists()
 
 
+    @pytest.mark.parametrize("file_name", [
+        ".selection.tsv", "a,b.selection.tsv", "k=v.selection.tsv", "a\nb.selection.tsv",
+    ], ids=["empty", "comma", "equals", "line-break"])
+    def test_selection_name_that_breaks_the_report_exits_2(self, corpora, tmp_path, capsys, file_name):
+        # the name is a CSV cell and the head of every key=value key
+        tmp, ground, in_domain = corpora
+        feats = tmp / "features.tsv"
+        assert main([
+            "extract-features", "--in-domain-src", in_domain,
+            "--ground-src", ground, "--out", str(feats),
+        ]) == 0
+        sel = write(tmp_path / file_name, "1\t0\t1.0\t2\n")
+        rc = main([
+            "report", "--features", str(feats), "--ground-src", ground,
+            "--selection", sel, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert f"error: {sel}:" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpora):
         tmp, ground, in_domain = corpora
@@ -600,6 +644,20 @@ class TestConfigFile:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_config_that_is_not_a_file_exits_2(self, corpora, capsys, kind):
+        tmp, ground, in_domain = corpora
+        cfg = tmp / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        out_dir = tmp / "sel"
+        rc = main(["select", "--config", str(cfg), "--in-domain-src", in_domain, "--ground-src", ground,
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert f"error: no such file: {cfg}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestUsageErrors:
     def test_missing_required_flag_raises_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
@@ -610,6 +668,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        "select --in-domain-src {missing} --ground-src {missing} --out-dir {out}",
+        "oracle --in-domain-src {missing} --ground-src {missing}",
+        "report --features {missing} --ground-src {missing} --selection {missing} --out-dir {out}",
+    ], ids=["select", "oracle", "report"])
+    def test_bad_concave_exits_2_before_any_input_is_read(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.src"
+        rc = main([*argv.format(missing=missing, out=tmp_path / "out").split(), "--concave", "bogus"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: unknown concave curve 'bogus'" in err
+        assert str(missing) not in err
+        assert not (tmp_path / "out").exists()
 
     def test_installed_entry_point_runs(self):
         proc = subprocess.run(
