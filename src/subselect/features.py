@@ -285,13 +285,14 @@ class _NgramIndex:
         stream = as_stream(sentences)
         tok = stream.lookup(self.tok_id, len(self.tok_id))
         edges = np.concatenate([[0], np.cumsum(stream.lens)])
-        parts = [(np.empty(0, dtype=np.int32),) * 3]
+        columns = [[np.empty(0, dtype=np.int32)] for _ in range(3)]
         for start in range(0, len(stream), _CHUNK):
             stop = min(start + _CHUNK, len(stream))
             row, position, count = self._chunk_pairs(tok[edges[start] : edges[stop]], stream.lens[start:stop])
-            parts.append((row + start, position, count))
-        row, position, count = zip(*parts)
-        return np.concatenate(row), np.concatenate(position), np.concatenate(count)
+            for column, part in zip(columns, (row + start, position, count)):
+                column.append(part)
+        # a column's chunks go once it is joined, so the pairs are never all held twice
+        return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
 
     def _chunk_pairs(self, tok: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``pairs`` of sentences whose index token ids come end to end in ``tok``."""

@@ -14,9 +14,11 @@ model's through one lookup per distinct token, interns each order's
 windows once (``chain_ranks``) and counts the events with one
 ``np.bincount``. ``load_lm`` builds the same tree from the v1 JSON file
 with ``prefix_tree``, as the feature index does, and checks the file as
-it loads: counts, orders, tokens and histories. ``save_lm`` and the
-tuple-keyed view ``counts`` (decoded an order at a time, on first read)
-spell the tree with ``spell``, as the feature index does.
+it loads: counts, orders, tokens and histories, freeing each order's
+strings before the tree is built. ``save_lm`` (one order at a time, to
+``json.dumps``'s bytes) and the tuple-keyed view ``counts`` (decoded an
+order at a time, on first read) spell the tree with ``spell``, as the
+feature index does.
 Every probability comes from one kernel, ``_event_probs``: per order it
 interns a batch's own k-grams once, maps each distinct one into the
 tree of every model given (models that share one id map) with one
@@ -32,7 +34,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,6 +160,11 @@ def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _counted(level: list, counts: np.ndarray) -> dict:
+    """A spelled level's n-grams with a count above 0, each mapped to its count."""
+    return dict(zip(compress(level, counts.tolist()), counts[counts > 0].tolist()))
+
+
 class NgramLanguageModel:
     """A count tree plus a smoothing rule; probabilities are computed on demand.
 
@@ -193,14 +201,10 @@ class NgramLanguageModel:
     def event_vocab(self) -> list[str]:
         return self.tokens[:-1]
 
-    def _spelled(self, joined: bool, top: int | None = None) -> list[dict]:
-        """Orders 1 to ``top`` (all by default), each as a dict from every counted
-        n-gram, spelled as ``ngramkeys.spell`` does, to its count."""
-        levels = spell([t.keys for t in self.tables], self.tokens, len(self.tokens), joined)
-        return [
-            dict(zip(compress(level, t.counts.tolist()), t.counts[t.counts > 0].tolist()))
-            for t, level in zip(self.tables[:top], levels)
-        ]
+    def _spelled(self, k: int) -> dict:
+        """Order ``k``'s counted n-grams as token tuples (``ngramkeys.spell``), each mapped to its count."""
+        levels = spell([t.keys for t in self.tables[:k]], self.tokens, len(self.tokens))
+        return _counted(next(islice(levels, k - 1, None)), self.tables[k - 1].counts)
 
     @cached_property
     def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:
@@ -210,7 +214,7 @@ class NgramLanguageModel:
         its first lookup, but its length is its number of n-grams.
         """
         return {
-            k: _LazyMapping(int(np.count_nonzero(t.counts)), lambda k=k: self._spelled(False, k)[-1])
+            k: _LazyMapping(int(np.count_nonzero(t.counts)), lambda k=k: self._spelled(k))
             for k, t in enumerate(self.tables, start=1)
         }
 
@@ -365,11 +369,12 @@ def log_prob(lm: NgramLanguageModel, x: Sentence | Sequence[str]) -> float:
 def save_lm(lm: NgramLanguageModel, path) -> None:
     """Serialize counts and settings to a versioned JSON file, deterministically.
 
-    Each order's n-grams are written as space-joined tokens, in string
-    order, which is not id order (a token may hold a character below the
-    space).
+    The bytes are ``json.dumps(payload, ensure_ascii=False, sort_keys=True)``
+    and a newline, encoded an order at a time: n-grams as space-joined
+    tokens in string order (not id order: a token may hold a character
+    below the space). Nothing is written until every order is encoded.
     """
-    payload = {
+    header = {
         "format": LM_MAGIC,
         "version": LM_VERSION,
         "order": lm.order,
@@ -378,12 +383,22 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
         "markers": lm.markers,
         "unk_floor": lm.unk_floor,
         "vocab": lm.tokens[:-3],
-        "counts": {str(k): table for k, table in enumerate(lm._spelled(True), start=1)},
     }
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+    # sort_keys puts "counts" second, after the number "add_k", so the first match is the placeholder
+    head, tail = json.dumps({**header, "counts": 0}, ensure_ascii=False, sort_keys=True).split('"counts": 0', 1)
+    levels = spell([t.keys for t in lm.tables], lm.tokens, len(lm.tokens), joined=True)
+    orders = {str(k): _json_counts(_counted(level, lm.tables[k - 1].counts)) for k, level in enumerate(levels, 1)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(head + '"counts": {')
+        for i, k in enumerate(sorted(orders)):  # string order: "1", "10", "2"
+            fh.write(f'{", " if i else ""}"{k}": ')
+            fh.write(orders[k])
+        fh.write("}" + tail + "\n")
+
+
+def _json_counts(table: dict[str, int]) -> str:
+    """``json.dumps(table, ensure_ascii=False, sort_keys=True)``, sorting keys rather than items."""
+    return "{" + ", ".join([f"{encode_basestring(gram)}: {table[gram]}" for gram in sorted(table)]) + "}"
 
 
 def load_lm(path) -> NgramLanguageModel:
@@ -431,32 +446,35 @@ def load_lm(path) -> NgramLanguageModel:
         raise ConfigError(f"{path}: count tables {sorted(extra)} are outside orders 1 to {order}")
     ids = _token_ids(vocab)
     base = len(ids)
-    grams, counts = [], []
-    for k in range(1, order + 1):
-        table = tables.pop(str(k), {})  # each order's strings go as soon as they are read
-        values = table.values() if isinstance(table, dict) else [None]
-        n = len(values)
-        try:
-            # bool is a subclass of int, so compare the types themselves
-            c = np.fromiter(values, dtype=np.int64, count=n) if set(map(type, values)) <= {int} else None
-        except OverflowError:  # from 2**63 up
-            c = None
-        if c is None or (c < 1).any():
-            raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
-        counts.append(c)
-        if set(map(str.count, table, repeat(" "))) - {k - 1}:
-            raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
-        try:  # with count 0, fromiter reads nothing
-            grams.append(np.fromiter(map(ids.__getitem__, " ".join(table).split(" ")), dtype=np.int64, count=n * k))
-        except KeyError as exc:
-            raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+    # each order's strings go as soon as its arrays are built
+    grams, counts = zip(*(_read_order(path, k, tables.pop(str(k), {}), ids) for k in range(1, order + 1)))
     lens = np.repeat(np.arange(1, order + 1), list(map(len, counts)))
-    count = np.concatenate(counts)
-    tree = prefix_tree(np.concatenate(grams), lens, base, order)
-    built = _tree(((keys, _at(count, end)) for keys, end in tree), base)
+    grams, counts = np.concatenate(grams), np.concatenate(counts)  # and the per-order arrays once joined
+    tree = prefix_tree(grams, lens, base, order)
+    built = _tree(((keys, _at(counts, end)) for keys, end in tree), base)
     for k, below, level in zip(range(2, order + 1), built, built[1:]):
         # an n-gram's history must extend one the next-shorter order has:
         # its parent's parent must have a counted child at that order
         if not below.hist_types[below.keys[level.keys[level.counts > 0] // base] // base].all():
             raise ConfigError(f"{path}: order-{k} counts extend a history no shorter n-gram has")
     return NgramLanguageModel(order, smoothing, float(add_k), markers, unk_floor, ids, built)
+
+
+def _read_order(path, k: int, table, ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A v1 file's order-``k`` table, checked, as its n-grams' token ids end to end and their counts."""
+    values = table.values() if isinstance(table, dict) else [None]
+    n = len(values)
+    try:
+        # bool is a subclass of int, so compare the types themselves
+        c = np.fromiter(values, dtype=np.int64, count=n) if set(map(type, values)) <= {int} else None
+    except OverflowError:  # from 2**63 up
+        c = None
+    if c is None or (c < 1).any():
+        raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
+    if set(map(str.count, table, repeat(" "))) - {k - 1}:
+        raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
+    tokens = chain.from_iterable(map(str.split, table, repeat(" ")))
+    try:
+        return np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=n * k), c
+    except KeyError as exc:
+        raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc

@@ -97,6 +97,7 @@ def spell(tables: Sequence[np.ndarray], tokens: Sequence[str], base: int, joined
             prev = [tok if head is None else f"{head} {tok}" for head, tok in pairs]
         else:
             prev = [(tok,) if head is None else head + (tok,) for head, tok in pairs]
+        del pairs  # it holds the parent level, which the caller may have dropped
         yield prev
 
 

@@ -7,6 +7,9 @@ with each history's total and type count derived from those counts.
 ``conditional_prob`` and ``log_probs`` do; the library's batch kernel
 must give the same floats bit for bit.
 
+``file_text`` is the v1 file as one ``json.dumps`` of a model's whole
+payload, the bytes ``save_lm`` must write one order at a time.
+
 ``_train`` counts tuple windows into per-order dicts, kept verbatim
 from before the tables were counted straight from integer keys, and
 ``_tables`` turns those dicts into the model's prefix tree on first use,
@@ -18,6 +21,7 @@ in string order (``ordered_vocab``) to get the ids the library uses.
 
 from __future__ import annotations
 
+import json
 import math
 import weakref
 from collections import Counter
@@ -29,7 +33,7 @@ import numpy as np
 
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError, EmptyCorpusError
-from subselect.lm import BOS, EOS, UNK, _OrderTable, parse_smoothing
+from subselect.lm import BOS, EOS, LM_MAGIC, LM_VERSION, UNK, _OrderTable, parse_smoothing
 from subselect.ngramkeys import depths
 
 _HISTORY_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -98,6 +102,22 @@ def log_prob(lm, tokens) -> float:
             return float("-inf")
         total += math.log(p)
     return total
+
+
+def file_text(lm) -> str:
+    """A library model's v1 file: its settings, vocabulary and space-joined counts through one ``json.dumps``."""
+    payload = {
+        "format": LM_MAGIC,
+        "version": LM_VERSION,
+        "order": lm.order,
+        "smoothing": lm.smoothing,
+        "add_k": lm.add_k,
+        "markers": lm.markers,
+        "unk_floor": lm.unk_floor,
+        "vocab": lm.tokens[:-3],
+        "counts": {str(k): {" ".join(ngram): c for ngram, c in table.items()} for k, table in lm.counts.items()},
+    }
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 def ordered_vocab(vocab) -> dict[str, None]:

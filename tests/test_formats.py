@@ -3,16 +3,19 @@
 Corpora are written to disk and read back with ``load_corpus``, so the
 tokens are whatever the loader makes of non-ASCII words, Unicode
 whitespace (NBSP, U+2028, U+3000) between them, and marker strings
-(``<s>``, ``</s>``, ``<unk>``) in running text.
+(``<s>``, ``</s>``, ``<unk>``) in running text. The language-model
+writer's bytes are also checked against ``lm_reference.file_text`` on
+library-built corpora whose tokens JSON must escape.
 """
 
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subselect.corpus import TOKENIZERS, load_corpus
+import lm_reference as ref
+from subselect.corpus import TOKENIZERS, Corpus, Sentence, load_corpus
 from subselect.features import extract_feature_set, fit_idf, load_feature_set, save_feature_set
 from subselect.lm import load_lm, log_probs, save_lm, train_lm
 
@@ -85,3 +88,24 @@ def test_language_model_file_round_trip(train_text, other_text, order, smoothing
         assert log_probs(loaded, sentences) == log_probs(lm, sentences)
         save_lm(loaded, Path(tmp) / "again.json")
         assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+
+
+# quotes, backslashes and control characters are escaped, other non-ASCII text is not
+ESCAPED = ['"', "\\", "\x01", 'a"b\\', "كتاب", "漢字", "a", "<s>"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    train=st.lists(st.lists(st.sampled_from(ESCAPED), min_size=1, max_size=5), min_size=1, max_size=5),
+    order=st.integers(1, 11),
+    smoothing=st.sampled_from(["mle", "add-k:1e-05", "add-k:5e-324", "interpolated-wb"]),
+    markers=st.booleans(),
+)
+# order 11 puts table "10" before "2"; without markers its orders 2 to 11 count nothing
+@example(train=[["漢字"]], order=11, smoothing="add-k:5e-324", markers=False)
+def test_language_model_file_is_one_json_dumps(train, order, smoothing, markers):
+    lm = train_lm(Corpus(tuple(Sentence(i, tuple(toks)) for i, toks in enumerate(train))), order, smoothing, markers)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lm.json"
+        save_lm(lm, path)
+        assert path.read_bytes() == ref.file_text(lm).encode("utf-8")

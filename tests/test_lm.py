@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,39 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="length"):
             load_lm(path)
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held at once above what was held before it, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+class TestFilePeaks:
+    """The v1 file's writer and loader on a 190k-n-gram model, a 3.4 MB file."""
+
+    @pytest.fixture(scope="class")
+    def pool_lm(self):
+        # perfbench's seed-0 pool: 4,000 sentences of 15 Zipf tokens over 10k types
+        rng = random.Random(0)
+        vocab = [f"t{i}" for i in range(10_000)]
+        tokens = rng.choices(vocab, weights=[1.0 / (r + 1) for r in range(10_000)], k=60_000)
+        return train_lm(Corpus(tuple(Sentence(i, tuple(tokens[15 * i : 15 * i + 15])) for i in range(4000))))
+
+    def test_save_spells_an_order_at_a_time(self, pool_lm, tmp_path):
+        # every order's dict through one json.dumps peaked at about 24.5 MB
+        assert traced_peak(lambda: save_lm(pool_lm, tmp_path / "lm.json")) <= 18 * 2**20
+
+    def test_load_frees_the_strings_before_the_tree(self, pool_lm, tmp_path):
+        save_lm(pool_lm, tmp_path / "lm.json")
+        # the parsed JSON alive while the tree was built peaked at about 32.1 MB
+        assert traced_peak(lambda: load_lm(tmp_path / "lm.json")) <= 26 * 2**20
 
 
 class TestRandomizedConsistency:
