@@ -23,8 +23,9 @@ Every probability comes from one kernel, ``_event_probs``: per order it
 interns a batch's own k-grams once, maps each distinct one into the
 tree of every model given (models that share one id map) with one
 lookup, and applies each model's smoothing rule. ``log_probs`` and
-``score_corpus`` feed it ``_CHUNK`` sentences at a time,
-``conditional_prob`` one history and word.
+``score_corpus`` feed it batches of whole sentences of about
+``_BATCH_POSITIONS`` padded positions, ``conditional_prob`` one history
+and word.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream, read_text
 from .errors import ConfigError, EmptyCorpusError
-from .features import _CHUNK
 from .ngramkeys import _LazyMapping, chain_ranks, depths, prefix_tree, rank, spell
 
 BOS = "<s>"
@@ -53,6 +53,10 @@ LM_MAGIC = "subselect-ngram-lm"
 LM_VERSION = 1
 
 SMOOTHINGS = ("mle", "add-k", "interpolated-wb")
+
+# Scoring pads and scores at most this many positions at a time (or one
+# longer sentence), which bounds the kernel's temporaries on any pool.
+_BATCH_POSITIONS = 1 << 14
 
 
 def parse_smoothing(text: str) -> tuple[str, float]:
@@ -82,32 +86,39 @@ def _token_ids(vocab) -> dict[str, int]:
 
 
 def _padded(
-    stream: TokenStream, ids: dict[str, int], order: int, markers: bool, chunk: int
+    stream: TokenStream, ids: dict[str, int], order: int, markers: bool, budget: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The id sequences a stream's sentences are counted and scored over, ``chunk`` sentences at a time.
+    """The id sequences a stream's sentences are counted and scored over, in batches of whole sentences.
 
     Tokens outside the vocabulary become the unknown marker; literal
     marker strings in running text are out-of-vocabulary too. With
     markers each sequence is start-padded to a full history and ends with
-    the end marker, whose event is scored. Yields per chunk the token ids
-    end to end, each sequence's length, each position's depth (the tokens
-    before it in its sequence) and the depth of every first event.
+    the end marker, whose event is scored. A batch ends at the last
+    sentence that keeps it within ``budget`` positions, or holds one
+    longer sentence alone. Yields per batch the token ids end to end,
+    each sequence's length, each position's depth (the tokens before it
+    in its sequence) and the depth of every first event.
     """
     eos, unk, bos = len(ids) - 3, len(ids) - 2, len(ids) - 1
     words = stream.lookup(ids, unk)
     words[words >= eos] = unk  # marker strings in running text
     edges = np.concatenate([[0], np.cumsum(stream.lens)])
     first = order - 1 if markers else 0
-    for start in range(0, len(stream), chunk):
-        stop = min(start + chunk, len(stream))
+    pad = first + 1 if markers else 0
+    ends = np.cumsum(stream.lens + pad)
+    start = 0
+    while start < len(stream):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(ends.searchsorted(done + budget, side="right")))
         n_words = stream.lens[start:stop]
-        lens = n_words + (first + 1 if markers else 0)
+        lens = n_words + pad
         starts = np.cumsum(lens) - lens
         tok = np.full(int(lens.sum()), bos, dtype=np.int64)
         tok[np.repeat(starts + first, n_words) + depths(n_words)] = words[edges[start] : edges[stop]]
         if markers:
             tok[starts + lens - 1] = eos
         yield tok, lens, depths(lens), first
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -270,7 +281,7 @@ def _train(
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
 
     ids = _token_ids(vocab - {BOS, EOS, UNK})
-    [(tok, _, depth, first)] = _padded(corpus.source, ids, order, markers, len(corpus))
+    [(tok, _, depth, first)] = _padded(corpus.source, ids, order, markers, math.inf)
     tables = _count(tok, depth, first, order, len(ids))
     return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
@@ -346,11 +357,12 @@ def _event_probs(
 def _log_probs(models: Sequence[NgramLanguageModel], stream: TokenStream) -> list[list[float]]:
     """``log_probs`` of a stream under each of some models that share one id map and order.
 
-    Padded and scored ``_CHUNK`` sentences at a time, so temporaries stay small on any pool.
+    Padded and scored in batches of about ``_BATCH_POSITIONS`` positions, so temporaries
+    stay small on any pool, whatever its sentence lengths.
     """
     lm = models[0]
     outs: list[list[float]] = [[] for _ in models]
-    for tok, lens, depth, first in _padded(stream, lm.ids, lm.order, lm.markers, _CHUNK):
+    for tok, lens, depth, first in _padded(stream, lm.ids, lm.order, lm.markers, _BATCH_POSITIONS):
         for out, p in zip(outs, _event_probs(models, tok, depth, first)):
             probs = iter(p.tolist())
             for n_events in (lens - first).tolist():

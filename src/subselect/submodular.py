@@ -307,10 +307,12 @@ def objective(cols, vals, weights: np.ndarray, concave: ConcaveSpec) -> float:
     then summed left to right, columns in the order the pairs first touch them.
     ``evaluate``, the report and the oracle all score so, agreeing bit for bit.
     """
-    touched, first, inverse = np.unique(cols, return_index=True, return_inverse=True)
-    mass = np.bincount(inverse, weights=vals, minlength=len(touched))  # adds in pair order, onto 0.0
-    by_first = np.argsort(first)
-    return _weighted_sum(weights[touched[by_first]], mass[by_first], concave)
+    first = np.full(len(weights), len(cols))
+    np.minimum.at(first, cols, np.arange(len(cols)))  # each column's first pair, len(cols) if none
+    mass = np.bincount(cols, weights=vals, minlength=len(weights))  # adds in pair order, onto 0.0
+    touched = np.flatnonzero(first < len(cols))
+    touched = touched[np.argsort(first[touched])]
+    return _weighted_sum(weights[touched], mass[touched], concave)
 
 
 def reference_gain(entries: Mapping, mass: Mapping, weight_of: Callable, concave: ConcaveSpec) -> float:

@@ -287,7 +287,8 @@ class TestMatchesReference:
 
 IN_DOMAIN = ("a b c", "b c a a", "c a b")
 OUT_DOMAIN = ("c c b", "b d", "d d a c", "a d b d")
-# seven sentences with unknown tokens, two of them all unknown, over three 3-sentence chunks
+# eight sentences with unknown tokens, two of them all unknown: at order 3 they pad to
+# 6, 5, 7, 7, 4, 4, 6 and 8 positions, four batches under a 16-position budget
 GROUND = ("a b c", "zzz yyy", "b d a b", "c c a zzz", "a", "qqq", "d d d", "b c a a d")
 
 
@@ -318,7 +319,7 @@ class TestChunkedScoring:
     def test_chunks_score_like_single_sentences(self, kind, smoothing, tmp_path, monkeypatch):
         lm_in, lm_out = scoring_pair(kind, smoothing, tmp_path)
         assert (lm_in.ids == lm_out.ids) == (kind != "files-own")
-        monkeypatch.setattr(lm_module, "_CHUNK", 3)
+        monkeypatch.setattr(lm_module, "_BATCH_POSITIONS", 16)
         ground = corpus_of(*GROUND)
         scored = score_corpus(ground, lm_in, lm_out)
         # repr: an undefined score is NaN, which equals nothing
@@ -331,7 +332,7 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("smoothing", SMOOTHINGS)
     def test_pair_kernel_covers_empty_sentences(self, smoothing, tmp_path, monkeypatch):
         lm_in, lm_out = scoring_pair("trained", smoothing, tmp_path)
-        monkeypatch.setattr(lm_module, "_CHUNK", 3)
+        monkeypatch.setattr(lm_module, "_BATCH_POSITIONS", 16)
         texts = [(), *(tuple(line.split()) for line in GROUND), (), ("zzz",), ()]
         stream = Corpus(tuple(Sentence(i, t) for i, t in enumerate(texts))).source
         pair = lm_module._log_probs([lm_in, lm_out], stream)
@@ -342,33 +343,42 @@ class TestChunkedScoring:
     @settings(max_examples=60, deadline=None)
     @given(
         ground=st.lists(st.lists(st.sampled_from("abcdqz"), min_size=1, max_size=6), min_size=1, max_size=12),
-        chunk=st.integers(1, 5),
+        budget=st.integers(1, 64),  # from below one sentence's 4 to 9 padded positions to past the pool's
         kind=st.sampled_from(["trained", "files-own"]),
     )
-    def test_random_pools(self, tmp_path_factory, ground, chunk, kind):
+    def test_random_pools(self, tmp_path_factory, ground, budget, kind):
         lm_in, lm_out = scoring_pair(kind, "interpolated-wb", tmp_path_factory.mktemp("lm"))
         corpus = Corpus(tuple(Sentence(i, tuple(t)) for i, t in enumerate(ground)))
         expected = [xent_score(sentence, lm_in, lm_out) for sentence in corpus]
-        old, lm_module._CHUNK = lm_module._CHUNK, chunk
+        old, lm_module._BATCH_POSITIONS = lm_module._BATCH_POSITIONS, budget
         try:
             assert score_corpus(corpus, lm_in, lm_out) == expected
         finally:
-            lm_module._CHUNK = old
+            lm_module._BATCH_POSITIONS = old
 
+    # 2,048-sentence batches peaked at 9.4 MB here, 16k-position ones at 4.8 MB
     def test_temporaries_stay_chunk_sized(self):
-        # 10k sentences, five chunks: one batch over the whole pool peaked at about 31 MB
-        rng = random.Random(0)
-        vocab = [f"t{i}" for i in range(2000)]
-        tokens = rng.choices(vocab, weights=[1.0 / (r + 1) for r in range(2000)], k=150_000)
-        ground = Corpus(tuple(Sentence(i, tuple(tokens[15 * i : 15 * i + 15])) for i in range(10_000)))
-        in_domain = Corpus(tuple(Sentence(k, ground[j].source_tokens) for k, j in enumerate(range(0, 10_000, 10))))
-        lm_in, lm_out = train_domain_pair(in_domain, ground)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            scored = score_corpus(ground, lm_in, lm_out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(scored) == 10_000 and all(s.defined for s in scored)
-        assert peak - before <= 14 * 2**20
+        assert scoring_peak(10_000, 15) <= 6 * 2**20
+
+    # 2,048-sentence batches peaked at 31.1 MB here, 16k-position ones at 5.2 MB
+    def test_long_sentences_stay_chunk_sized(self):
+        assert scoring_peak(4_000, 60) <= 6 * 2**20
+
+
+def scoring_peak(n: int, length: int) -> int:
+    """``score_corpus``'s tracemalloc peak over its start on ``n`` Zipf sentences of ``length`` tokens."""
+    rng = random.Random(0)
+    vocab = [f"t{i}" for i in range(2000)]
+    tokens = rng.choices(vocab, weights=[1.0 / (r + 1) for r in range(2000)], k=n * length)
+    ground = Corpus(tuple(Sentence(i, tuple(tokens[length * i : length * (i + 1)])) for i in range(n)))
+    in_domain = Corpus(tuple(Sentence(k, ground[j].source_tokens) for k, j in enumerate(range(0, n, 10))))
+    lm_in, lm_out = train_domain_pair(in_domain, ground)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        scored = score_corpus(ground, lm_in, lm_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scored) == n and all(s.defined for s in scored)
+    return peak - before
