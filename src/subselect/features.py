@@ -188,10 +188,11 @@ class _NgramIndex:
     def build(cls, ngrams: TokenStream, max_order: int) -> _NgramIndex:
         """The index of the n-grams in a stream, one a sentence, in this set order."""
         tok_id = _ids_of(ngrams.vocab)
-        lens = ngrams.lens
-        levels = list(prefix_tree(ngrams.ids, lens, len(tok_id) + 1, int(lens.max(initial=0))))
-        position = [end.astype(np.int32) for _, end in levels]
-        return cls(tok_id, max_order, [table for table, _ in levels], position, len(lens))
+        lens, starts = ngrams.lens, np.cumsum(ngrams.lens) - ngrams.lens
+        rows = [np.flatnonzero(lens == k).astype(np.int32) for k in range(1, int(lens.max(initial=0)) + 1)]
+        grams = [ngrams.ids[starts[r, None] + np.arange(k)] for k, r in enumerate(rows, 1)]
+        levels = list(prefix_tree(grams, rows, len(tok_id) + 1, -1))
+        return cls(tok_id, max_order, [table for table, _ in levels], [pos for _, pos in levels], len(lens))
 
     @classmethod
     def intern(cls, stream: TokenStream, max_order: int) -> tuple[_NgramIndex, np.ndarray]:
@@ -227,11 +228,13 @@ class _NgramIndex:
         return cls(_ids_of(stream.vocab), max_order, tables, position, len(first)), count
 
     def _spell(self, joined: bool) -> list:
-        """Every feature's n-gram, spelled as ``ngramkeys.spell`` does, in set order."""
+        """Every feature's n-gram (``ngramkeys.spell``), as a token tuple or
+        with ``joined`` its tokens joined by spaces, in set order."""
         out: list = [None] * self.size
-        levels = spell(self.tables, list(self.tok_id), len(self.tok_id) + 1, joined)
-        for pos, level in zip(self.position, levels):
-            for p, ngram in zip(pos.tolist(), level):
+        tokens, base = np.array(list(self.tok_id), dtype=object), len(self.tok_id) + 1
+        for k, (table, pos) in enumerate(zip(self.tables, self.position)):
+            ngrams = zip(*spell(table, self.tables[:k], tokens, base))
+            for p, ngram in zip(pos.tolist(), map(" ".join, ngrams) if joined else ngrams):
                 if p >= 0:
                     out[p] = ngram
         return out

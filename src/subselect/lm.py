@@ -12,32 +12,33 @@ Token ids follow string order: the sorted vocabulary, then the end,
 unknown and start markers. Training maps the corpus's token ids to the
 model's through one lookup per distinct token, interns each order's
 windows once (``chain_ranks``) and counts the events with one
-``np.bincount``. ``load_lm`` builds the same tree from the v1 JSON file
-with ``prefix_tree``, as the feature index does, and checks the file as
-it loads: counts, orders, tokens and histories, freeing each order's
-strings before the tree is built. ``save_lm`` (one order at a time, to
-``json.dumps``'s bytes) and the tuple-keyed view ``counts`` (decoded an
-order at a time, on first read) spell the tree with ``spell``, as the
-feature index does.
+``np.bincount``. Reading or writing the v1 JSON file holds one order's
+strings at a time: ``load_lm`` walks the file once, turns each count
+table into token-id arrays as soon as it is decoded and builds the tree
+a level at a time (``prefix_tree``); ``save_lm`` and the tuple-keyed
+view ``counts`` spell an order from its keys (``spell``).
 Every probability comes from one kernel, ``_event_probs``: per order it
 interns a batch's own k-grams once, maps each distinct one into the
 tree of every model given (models that share one id map) with one
 lookup, and applies each model's smoothing rule. ``log_probs`` and
 ``score_corpus`` feed it batches of whole sentences of about
-``_BATCH_POSITIONS`` padded positions, ``conditional_prob`` one history
-and word.
+``_BATCH_POSITIONS`` padded positions, ``conditional_prob`` one
+history and word.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
+from json.decoder import JSONDecodeError, scanstring
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +58,14 @@ SMOOTHINGS = ("mle", "add-k", "interpolated-wb")
 # Scoring pads and scores at most this many positions at a time (or one
 # longer sentence), which bounds the kernel's temporaries on any pool.
 _BATCH_POSITIONS = 1 << 14
+
+# the v1 file: ``save_lm`` encodes this many n-grams per write; ``load_lm`` decodes with json's own scanner
+_WRITE_CHUNK = 1 << 12
+_DECODER = json.JSONDecoder()
+_WS = r"[ \t\n\r]*"  # JSON's whitespace
+_OPEN = re.compile(_WS + r'\{' + _WS + r'(?:(\})|(?="))')  # an object's start, then its end or a key
+_COLON = re.compile(_WS + ":" + _WS)
+_NEXT = re.compile(_WS + r'(?:(\})|,' + _WS + r'(?="))')  # after a value: the object's end or the next key
 
 
 def parse_smoothing(text: str) -> tuple[str, float]:
@@ -171,11 +180,6 @@ def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _counted(level: list, counts: np.ndarray) -> dict:
-    """A spelled level's n-grams with a count above 0, each mapped to its count."""
-    return dict(zip(compress(level, counts.tolist()), counts[counts > 0].tolist()))
-
-
 class NgramLanguageModel:
     """A count tree plus a smoothing rule; probabilities are computed on demand.
 
@@ -212,10 +216,14 @@ class NgramLanguageModel:
     def event_vocab(self) -> list[str]:
         return self.tokens[:-1]
 
-    def _spelled(self, k: int) -> dict:
-        """Order ``k``'s counted n-grams as token tuples (``ngramkeys.spell``), each mapped to its count."""
-        levels = spell([t.keys for t in self.tables[:k]], self.tokens, len(self.tokens))
-        return _counted(next(islice(levels, k - 1, None)), self.tables[k - 1].counts)
+    def _spelled(self, k: int, joined: bool = False) -> tuple[list, list[int]]:
+        """Order ``k``'s counted n-grams (``ngramkeys.spell``), as token tuples or
+        with ``joined`` their tokens joined by spaces, and their counts."""
+        table = self.tables[k - 1]
+        counted = table.counts > 0
+        below = [t.keys for t in self.tables[: k - 1]]
+        grams = zip(*spell(table.keys[counted], below, np.array(self.tokens, dtype=object), len(self.tokens)))
+        return list(map(" ".join, grams) if joined else grams), table.counts[counted].tolist()
 
     @cached_property
     def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:
@@ -225,7 +233,7 @@ class NgramLanguageModel:
         its first lookup, but its length is its number of n-grams.
         """
         return {
-            k: _LazyMapping(int(np.count_nonzero(t.counts)), lambda k=k: self._spelled(k))
+            k: _LazyMapping(int(np.count_nonzero(t.counts)), lambda k=k: dict(zip(*self._spelled(k))))
             for k, t in enumerate(self.tables, start=1)
         }
 
@@ -382,9 +390,9 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
     """Serialize counts and settings to a versioned JSON file, deterministically.
 
     The bytes are ``json.dumps(payload, ensure_ascii=False, sort_keys=True)``
-    and a newline, encoded an order at a time: n-grams as space-joined
-    tokens in string order (not id order: a token may hold a character
-    below the space). Nothing is written until every order is encoded.
+    and a newline, written an order at a time: its n-grams spelled from their
+    keys as space-joined tokens, sorted as strings (not in id order: a token
+    may hold a character below the space) and encoded a chunk at a time.
     """
     header = {
         "format": LM_MAGIC,
@@ -398,37 +406,63 @@ def save_lm(lm: NgramLanguageModel, path) -> None:
     }
     # sort_keys puts "counts" second, after the number "add_k", so the first match is the placeholder
     head, tail = json.dumps({**header, "counts": 0}, ensure_ascii=False, sort_keys=True).split('"counts": 0', 1)
-    levels = spell([t.keys for t in lm.tables], lm.tokens, len(lm.tokens), joined=True)
-    orders = {str(k): _json_counts(_counted(level, lm.tables[k - 1].counts)) for k, level in enumerate(levels, 1)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + '"counts": {')
-        for i, k in enumerate(sorted(orders)):  # string order: "1", "10", "2"
-            fh.write(f'{", " if i else ""}"{k}": ')
-            fh.write(orders[k])
+        for i, k in enumerate(sorted(range(1, lm.order + 1), key=str)):  # string order: "1", "10", "2"
+            grams, counts = lm._spelled(k, joined=True)
+            rows = sorted(range(len(grams)), key=grams.__getitem__)
+            fh.write(f'{", " if i else ""}"{k}": {{')
+            for at in range(0, len(rows), _WRITE_CHUNK):
+                entries = [f"{encode_basestring(grams[r])}: {counts[r]}" for r in rows[at : at + _WRITE_CHUNK]]
+                fh.write((", " if at else "") + ", ".join(entries))
+            fh.write("}")
+            del grams, counts, rows  # before the next order is spelled
         fh.write("}" + tail + "\n")
 
 
-def _json_counts(table: dict[str, int]) -> str:
-    """``json.dumps(table, ensure_ascii=False, sort_keys=True)``, sorting keys rather than items."""
-    return "{" + ", ".join([f"{encode_basestring(gram)}: {table[gram]}" for gram in sorted(table)]) + "}"
+def _object(text: str, pos: int, read: Callable[[str, object], object], top: bool = True) -> tuple[dict, int]:
+    """The JSON object at ``text[pos]`` (after whitespace) as ``json`` decodes it, and where it ends; a
+    top-level ``counts`` object is walked too, each value becoming ``read(key, value)`` once decoded."""
+    obj: dict = {}
+    step = _OPEN.match(text, pos)
+    while step and not step[1]:  # at a key
+        key, pos = scanstring(text, step.end() + 1)
+        step = _COLON.match(text, pos)
+        if not step:
+            break
+        if top and key == "counts" and text.startswith("{", step.end()):
+            obj[key], pos = _object(text, step.end(), read, top=False)
+        else:
+            obj[key], pos = _DECODER.raw_decode(text, step.end())  # a later duplicate key wins, as in json
+            obj[key] = obj[key] if top else read(key, obj[key])  # no table outlives its read
+        step = _NEXT.match(text, pos)
+    if not step:
+        raise JSONDecodeError("Expecting a JSON object", text, pos)
+    return obj, step.end()
 
 
 def load_lm(path) -> NgramLanguageModel:
-    """Read a model written by ``save_lm`` straight into its tables.
+    """Read a model written by ``save_lm`` into its tables, holding one order's strings at a time.
 
     The file is checked as it loads: ``add_k`` must be a finite number
     (above 0 for add-k), ``markers`` a JSON boolean and ``unk_floor`` a
-    JSON integer of at least 1; every count must be a JSON integer
-    of at least 1, every table an order from 1 to the model's, every
-    n-gram as long as its order and made of vocabulary tokens and
-    markers, and every history must extend one the next-shorter order
-    has. Anything else raises ``ConfigError``.
+    JSON integer of at least 1; the count tables must be orders 1 to the
+    model's, each of them present, every count a JSON integer of at least
+    1, every n-gram as long as its order and made of vocabulary tokens and
+    markers, and every history must extend one the next-shorter order has.
+    Anything else raises ``ConfigError``.
     """
+    intern: dict[str, int] = defaultdict()
+    intern.default_factory = intern.__len__  # each token's id in first-seen order
+    text = read_text(path)
     try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        payload, end = _object(text, 0, lambda name, table: _read_order(path, name, table, intern))
+        if text[end:].strip(" \t\n\r"):
+            raise JSONDecodeError("Extra data", text, end)
+    except JSONDecodeError as exc:
         raise ConfigError(f"{path}: not a language-model file") from exc
-    if not isinstance(payload, dict) or payload.get("format") != LM_MAGIC:
+    del text
+    if payload.get("format") != LM_MAGIC:
         raise ConfigError(f"{path}: not a language-model file")
     if payload.get("version") != LM_VERSION:
         raise ConfigError(f"{path}: unsupported language-model version {payload.get('version')}")
@@ -456,14 +490,26 @@ def load_lm(path) -> NgramLanguageModel:
     extra = [name for name in tables if not name.isdecimal() or name != str(int(name)) or not 1 <= int(name) <= order]
     if extra:
         raise ConfigError(f"{path}: count tables {sorted(extra)} are outside orders 1 to {order}")
+    # every name is now an order from 1 to the model's, so this stops within len(tables) + 1 steps
+    missing = next(k for k in range(1, order + 2) if str(k) not in tables)
+    if missing <= order:
+        raise ConfigError(f"{path}: the file has no count table for order {missing}")
     ids = _token_ids(vocab)
+    model_id = np.fromiter((ids.get(tok, -1) for tok in intern), dtype=np.int32, count=len(intern))
+    grams, counts = [], []
+    for k in range(1, order + 1):
+        entry = tables.pop(str(k))
+        if isinstance(entry, ConfigError):
+            raise entry
+        local, c = entry
+        g = model_id[local]
+        if (g < 0).any():  # name the table's first such token, as the whole-file loader did
+            tok = list(intern)[local[np.argmax(g < 0)]]
+            raise ConfigError(f"{path}: order-{k} counts hold {tok!r}, outside the vocabulary")
+        grams.append(g.reshape(-1, k))
+        counts.append(c)
     base = len(ids)
-    # each order's strings go as soon as its arrays are built
-    grams, counts = zip(*(_read_order(path, k, tables.pop(str(k), {}), ids) for k in range(1, order + 1)))
-    lens = np.repeat(np.arange(1, order + 1), list(map(len, counts)))
-    grams, counts = np.concatenate(grams), np.concatenate(counts)  # and the per-order arrays once joined
-    tree = prefix_tree(grams, lens, base, order)
-    built = _tree(((keys, _at(counts, end)) for keys, end in tree), base)
+    built = _tree(prefix_tree(grams, counts, base, 0), base)
     for k, below, level in zip(range(2, order + 1), built, built[1:]):
         # an n-gram's history must extend one the next-shorter order has:
         # its parent's parent must have a counted child at that order
@@ -472,8 +518,10 @@ def load_lm(path) -> NgramLanguageModel:
     return NgramLanguageModel(order, smoothing, float(add_k), markers, unk_floor, ids, built)
 
 
-def _read_order(path, k: int, table, ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """A v1 file's order-``k`` table, checked, as its n-grams' token ids end to end and their counts."""
+def _read_order(path, name: str, table, intern: dict) -> tuple[np.ndarray, np.ndarray] | ConfigError:
+    """A v1 count table, checked, as its n-grams' token ids in ``intern`` end to end and their counts, or
+    the ``ConfigError`` to raise if it is used; a name that is no order reads as order 0, never used."""
+    k = int(name) if name.isdecimal() and len(name) < 19 else 0
     values = table.values() if isinstance(table, dict) else [None]
     n = len(values)
     try:
@@ -482,11 +530,8 @@ def _read_order(path, k: int, table, ids: dict[str, int]) -> tuple[np.ndarray, n
     except OverflowError:  # from 2**63 up
         c = None
     if c is None or (c < 1).any():
-        raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
+        return ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
     if set(map(str.count, table, repeat(" "))) - {k - 1}:
-        raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
+        return ConfigError(f"{path}: an n-gram's length differs from its table's order")
     tokens = chain.from_iterable(map(str.split, table, repeat(" ")))
-    try:
-        return np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=n * k), c
-    except KeyError as exc:
-        raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+    return np.fromiter(map(intern.__getitem__, tokens), dtype=np.int32, count=n * k), c

@@ -8,8 +8,8 @@ is below its table's size. Level k of a tree holds its k-grams, each
 k-token prefix of a longer n-gram included, so every key's prefix is in
 the level below. This is the sorted-array layout of Heafield's KenLM:
 ``lm`` keeps each model as one such tree, ``features`` its n-gram
-universe. ``prefix_tree`` builds a tree from n-grams, ``chain_ranks``
-from the windows of a token stream, and ``spell`` spells its levels.
+universe. ``prefix_tree`` builds a tree from each order's n-grams,
+``chain_ranks`` from a token stream's windows, and ``spell`` spells keys.
 """
 
 from __future__ import annotations
@@ -65,40 +65,42 @@ def rank(
     return out
 
 
-def prefix_tree(tok: np.ndarray, lens: np.ndarray, base: int, levels: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Levels 1 to ``levels`` of the prefix tree of the n-grams whose token ids
-    (below ``base``) come end to end in ``tok``.
+def prefix_tree(
+    grams: Sequence[np.ndarray], values: Sequence[np.ndarray], base: int, fill: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels of the prefix tree of some n-grams, level 1 first.
 
-    Yields per level k the sorted keys of every k-token prefix, and for
-    each key the index of the n-gram it spells in full, -1 for a prefix
-    only (the last such n-gram where several are equal).
+    ``grams[k - 1]`` holds the order-k n-grams as rows of token ids below
+    ``base``, and ``values[k - 1]`` a value for each. Yields per level k
+    the sorted keys of every k-token prefix, interned with one argsort,
+    and each key's value: its order-k n-gram's (the last one where
+    several are equal), or ``fill`` for a prefix only.
     """
-    starts = np.cumsum(lens) - lens
-    prefix = np.zeros(len(lens), dtype=np.int64)  # each n-gram's rank at the level reached
-    for k in range(1, levels + 1):
-        sel = np.flatnonzero(lens >= k)
-        key = prefix[sel] * base + tok[starts[sel] + k - 1]
-        # return_index asks for a stable sort, fast on the near-sorted rows of a file in string order
-        table, _, inverse = np.unique(key, return_index=True, return_inverse=True)
-        prefix[sel] = inverse
-        end = np.full(len(table), -1, dtype=np.int64)
-        exact = lens[sel] == k
-        end[inverse[exact]] = sel[exact]
-        yield table, end
+    ranks = [np.zeros(len(v), dtype=np.int32) for v in values]  # each n-gram's rank at the level below
+    for k, v in enumerate(values):
+        keys = np.concatenate([r * np.int64(base) + g[:, k] for r, g in zip(ranks, grams[k:])])
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        new = np.ones(len(keys), dtype=bool)  # each key that differs from the one before
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        table = keys[new]
+        del keys
+        ranks = np.empty(len(perm), dtype=np.int32)
+        ranks[perm] = np.cumsum(new, dtype=np.int32) - 1
+        ranks = np.split(ranks, np.cumsum([len(u) for u in values[k:-1]]))
+        level = np.full(len(table), fill, dtype=v.dtype)
+        level[ranks.pop(0)] = v
+        yield table, level
 
 
-def spell(tables: Sequence[np.ndarray], tokens: Sequence[str], base: int, joined: bool = False) -> Iterator[list]:
-    """Each level's n-grams in key order, spelled down the tree: token tuples, or
-    with ``joined`` their tokens joined by spaces."""
-    prev: list = [None]
-    for table in tables:
-        pairs = zip(map(prev.__getitem__, (table // base).tolist()), map(tokens.__getitem__, (table % base).tolist()))
-        if joined:
-            prev = [tok if head is None else f"{head} {tok}" for head, tok in pairs]
-        else:
-            prev = [(tok,) if head is None else head + (tok,) for head, tok in pairs]
-        del pairs  # it holds the parent level, which the caller may have dropped
-        yield prev
+def spell(keys: np.ndarray, below: Sequence[np.ndarray], tokens: np.ndarray, base: int) -> list[np.ndarray]:
+    """Some keys of one level spelled down the tree through the levels ``below``
+    it: per position, an array of the n-grams' tokens from ``tokens`` (by id)."""
+    columns = [tokens[keys % base]]
+    for table in reversed(below):
+        keys = table[keys // base]
+        columns.insert(0, tokens[keys % base])
+    return columns
 
 
 def depths(lens: np.ndarray) -> np.ndarray:

@@ -17,6 +17,15 @@ from id tuples alone: the integer counting and loading must give the
 same tables and the same counts. ``_tables`` numbers tokens in the
 iteration order of ``vocab``; give the model a vocabulary that iterates
 in string order (``ordered_vocab``) to get the ids the library uses.
+
+``load_lm`` is the whole-file v1 loader the library's one-pass reader
+replaced, kept verbatim but for one rule: ``json.loads`` of the whole
+text, each order's table checked and turned into token ids
+(``_read_order``), and the prefix tree built from every n-gram at once
+(``prefix_tree``, the tree builder the library had then). Like the library, it rejects a file that
+lacks a table for some order from 1 to the model's. On any file the
+library's ``load_lm`` must return the same model or raise the same
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -26,14 +35,15 @@ import math
 import weakref
 from collections import Counter
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from subselect.corpus import Corpus, Sentence
+from subselect import lm as library
+from subselect.corpus import Corpus, Sentence, read_text
 from subselect.errors import ConfigError, EmptyCorpusError
-from subselect.lm import BOS, EOS, LM_MAGIC, LM_VERSION, UNK, _OrderTable, parse_smoothing
+from subselect.lm import BOS, EOS, LM_MAGIC, LM_VERSION, SMOOTHINGS, UNK, _OrderTable, parse_smoothing
 from subselect.ngramkeys import depths
 
 _HISTORY_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -222,3 +232,97 @@ def _train(
         windows = zip(*(flat[j:] for j in range(k)))
         counts[k] = dict(Counter(compress(windows, ends[k - 1 :])))
     return NgramLanguageModel(order, kind, add_k, markers, unk_floor, frozenset(vocab), counts)
+
+
+def load_lm(path) -> library.NgramLanguageModel:
+    """A v1 file read whole by ``json.loads``, checked, and built into the library's model."""
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not a language-model file") from exc
+    if not isinstance(payload, dict) or payload.get("format") != LM_MAGIC:
+        raise ConfigError(f"{path}: not a language-model file")
+    if payload.get("version") != LM_VERSION:
+        raise ConfigError(f"{path}: unsupported language-model version {payload.get('version')}")
+    fields = ("order", "smoothing", "add_k", "markers", "unk_floor", "vocab", "counts")
+    try:
+        order, smoothing, add_k, markers, unk_floor, vocab, tables = map(payload.__getitem__, fields)
+        # bool is a subclass of int, so compare the types themselves
+        finite_k = type(add_k) in (int, float) and math.isfinite(add_k)
+    except (KeyError, OverflowError) as exc:
+        raise ConfigError(f"{path}: malformed language-model header") from exc
+    if (
+        type(order) is not int
+        or order < 1
+        or smoothing not in SMOOTHINGS
+        or not finite_k
+        or (smoothing == "add-k" and add_k <= 0)
+        or type(markers) is not bool
+        or type(unk_floor) is not int
+        or unk_floor < 1
+        or not isinstance(tables, dict)
+    ):
+        raise ConfigError(f"{path}: malformed language-model header")
+    if not isinstance(vocab, list) or set(map(type, vocab)) - {str} or {BOS, EOS, UNK} & set(vocab):
+        raise ConfigError(f"{path}: the vocabulary must be a list of tokens other than the markers")
+    extra = [name for name in tables if not name.isdecimal() or name != str(int(name)) or not 1 <= int(name) <= order]
+    if extra:
+        raise ConfigError(f"{path}: count tables {sorted(extra)} are outside orders 1 to {order}")
+    # the one rule the whole-file loader lacked: it read a missing table as an empty one
+    missing = next(k for k in range(1, order + 2) if str(k) not in tables)
+    if missing <= order:
+        raise ConfigError(f"{path}: the file has no count table for order {missing}")
+    ids = library._token_ids(vocab)
+    base = len(ids)
+    grams, counts = zip(*(_read_order(path, k, tables.pop(str(k)), ids) for k in range(1, order + 1)))
+    lens = np.repeat(np.arange(1, order + 1), list(map(len, counts)))
+    grams, counts = np.concatenate(grams), np.concatenate(counts)
+    tree = prefix_tree(grams, lens, base, order)
+    built = library._tree(((keys, library._at(counts, end)) for keys, end in tree), base)
+    for k, below, level in zip(range(2, order + 1), built, built[1:]):
+        # an n-gram's history must extend one the next-shorter order has:
+        # its parent's parent must have a counted child at that order
+        if not below.hist_types[below.keys[level.keys[level.counts > 0] // base] // base].all():
+            raise ConfigError(f"{path}: order-{k} counts extend a history no shorter n-gram has")
+    return library.NgramLanguageModel(order, smoothing, float(add_k), markers, unk_floor, ids, built)
+
+
+def _read_order(path, k: int, table, ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A v1 file's order-``k`` table, checked, as its n-grams' token ids end to end and their counts."""
+    values = table.values() if isinstance(table, dict) else [None]
+    n = len(values)
+    try:
+        # bool is a subclass of int, so compare the types themselves
+        c = np.fromiter(values, dtype=np.int64, count=n) if set(map(type, values)) <= {int} else None
+    except OverflowError:  # from 2**63 up
+        c = None
+    if c is None or (c < 1).any():
+        raise ConfigError(f"{path}: order-{k} counts must be integers from 1 to 2**63 - 1")
+    if set(map(str.count, table, repeat(" "))) - {k - 1}:
+        raise ConfigError(f"{path}: an n-gram's length differs from its table's order")
+    tokens = chain.from_iterable(map(str.split, table, repeat(" ")))
+    try:
+        return np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=n * k), c
+    except KeyError as exc:
+        raise ConfigError(f"{path}: order-{k} counts hold {exc.args[0]!r}, outside the vocabulary") from exc
+
+
+def prefix_tree(tok: np.ndarray, lens: np.ndarray, base: int, levels: int):
+    """Levels 1 to ``levels`` of the prefix tree of the n-grams whose token ids
+    (below ``base``) come end to end in ``tok``.
+
+    Yields per level k the sorted keys of every k-token prefix, and for
+    each key the index of the n-gram it spells in full, -1 for a prefix
+    only (the last such n-gram where several are equal).
+    """
+    starts = np.cumsum(lens) - lens
+    prefix = np.zeros(len(lens), dtype=np.int64)  # each n-gram's rank at the level reached
+    for k in range(1, levels + 1):
+        sel = np.flatnonzero(lens >= k)
+        key = prefix[sel] * base + tok[starts[sel] + k - 1]
+        table, _, inverse = np.unique(key, return_index=True, return_inverse=True)
+        prefix[sel] = inverse
+        end = np.full(len(table), -1, dtype=np.int64)
+        exact = lens[sel] == k
+        end[inverse[exact]] = sel[exact]
+        yield table, end

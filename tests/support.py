@@ -3,10 +3,33 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from typing import Any, Callable, NamedTuple
 
 from subselect.corpus import Corpus, Sentence
 from subselect.features import FeatureSet, extract_feature_set, fit_idf
 from subselect.submodular import ConcaveSpec
+
+
+class Traced(NamedTuple):
+    """What ``traced_peak`` measured, in bytes above what was held before the call."""
+
+    peak: int  # the most held at once
+    held: int  # still held on return
+    result: Any
+
+
+def traced_peak(call: Callable[[], Any]) -> Traced:
+    """``call()`` run under tracemalloc: its peak, what it left held, and its result."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(peak - before, held - before, result)
+
 
 ALPHABET = ["a", "b", "c", "d", "e", "f", "g", "h"]
 

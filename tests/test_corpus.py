@@ -1,6 +1,5 @@
 import logging
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, strategies as st
 from subselect.cli import main
 from subselect.corpus import TOKENIZERS, Corpus, Sentence, load_corpus, tokenize
 from subselect.errors import AlignmentError, ConfigError, EmptyCorpusError
+from support import traced_peak
 
 
 def write(path, text):
@@ -235,14 +235,9 @@ class TestFootprint:
     def test_a_pool_holds_its_token_ids_not_its_token_strings(self, tmp_path):
         # 180k tokens: a str and a tuple slot per token came to about 12 MB
         path = write_pool(tmp_path / "pool.src", 12_000, 15)
-        tracemalloc.start()
-        try:
-            corpus = load_corpus(path)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(corpus) == 12_000 and corpus.total_cost == 180_000
-        assert held <= 3 * 2**20
+        run = traced_peak(lambda: load_corpus(path))
+        assert len(run.result) == 12_000 and run.result.total_cost == 180_000
+        assert run.held <= 3 * 2**20
 
     def test_select_both_builds_no_sentence(self, tmp_path, monkeypatch):
         ground = write_pool(tmp_path / "ground.src", 300, 12, seed=1)

@@ -1,7 +1,6 @@
 import math
 import random
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,7 @@ from subselect.xent import score_corpus
 
 import lm_reference as ref
 from lm_reference import log_prob as scalar_log_prob
+from support import traced_peak
 
 
 def corpus_of(*lines):
@@ -383,18 +383,6 @@ class TestSerialization:
             load_lm(path)
 
 
-def traced_peak(call) -> int:
-    """The most memory ``call()`` held at once above what was held before it, per tracemalloc."""
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - before
-
-
 class TestFilePeaks:
     """The v1 file's writer and loader on a 190k-n-gram model, a 3.4 MB file."""
 
@@ -407,13 +395,15 @@ class TestFilePeaks:
         return train_lm(Corpus(tuple(Sentence(i, tuple(tokens[15 * i : 15 * i + 15])) for i in range(4000))))
 
     def test_save_spells_an_order_at_a_time(self, pool_lm, tmp_path):
-        # every order's dict through one json.dumps peaked at about 24.5 MB
-        assert traced_peak(lambda: save_lm(pool_lm, tmp_path / "lm.json")) <= 18 * 2**20
+        # 7.9 MiB; spelling each order from its parent level's strings peaked at 14.4 MiB,
+        # and every order's dict through one json.dumps at 24.5 MiB
+        assert traced_peak(lambda: save_lm(pool_lm, tmp_path / "lm.json")).peak <= 9 * 2**20
 
     def test_load_frees_the_strings_before_the_tree(self, pool_lm, tmp_path):
         save_lm(pool_lm, tmp_path / "lm.json")
-        # the parsed JSON alive while the tree was built peaked at about 32.1 MB
-        assert traced_peak(lambda: load_lm(tmp_path / "lm.json")) <= 26 * 2**20
+        # 13.4 MiB, the text and one order's dict; json.loads of the whole file peaked
+        # at 22.1 MiB, and at 32.1 MiB with the parsed JSON alive while the tree was built
+        assert traced_peak(lambda: load_lm(tmp_path / "lm.json")).peak <= 14 * 2**20
 
 
 class TestRandomizedConsistency:

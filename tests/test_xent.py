@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 import lm_reference as ref
 from rank_reference import rank_and_select_reference
+from support import traced_peak
 from subselect import lm as lm_module
 from subselect.corpus import Corpus, Sentence
 from subselect.errors import ConfigError
@@ -373,12 +373,6 @@ def scoring_peak(n: int, length: int) -> int:
     ground = Corpus(tuple(Sentence(i, tuple(tokens[length * i : length * (i + 1)])) for i in range(n)))
     in_domain = Corpus(tuple(Sentence(k, ground[j].source_tokens) for k, j in enumerate(range(0, n, 10))))
     lm_in, lm_out = train_domain_pair(in_domain, ground)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        scored = score_corpus(ground, lm_in, lm_out)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(scored) == n and all(s.defined for s in scored)
-    return peak - before
+    run = traced_peak(lambda: score_corpus(ground, lm_in, lm_out))
+    assert len(run.result) == n and all(s.defined for s in run.result)
+    return run.peak
