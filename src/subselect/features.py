@@ -7,14 +7,14 @@ sentence's relevance to feature u is then count(u in sentence) * idf(u).
 
 A feature set is columnar. Its universe is interned once, as sorted
 chained integer keys (see ``ngramkeys``), and its statistics are arrays
-in set order: ``weight``, ``doc_freq`` and ``idf``. The features of any
-batch of sentences are found one order at a time with
-``np.searchsorted``. Document frequencies, the greedy's relevance
-matrix, single feature vectors and the report's coverage all come from
-that one enumeration, and a fitted set keeps the ground's enumeration
-for the greedy's relevance matrix, so ``select`` walks the pool once.
-Sentences come in as a corpus's ``TokenStream``; the index maps its ids
-to its own through one lookup per distinct token.
+in set order: ``weight``, ``doc_freq`` and ``idf``. Sentences are
+enumerated in batches of at most ``_CHUNK`` tokens (``ngramkeys.batches``),
+each one order at a time with ``np.searchsorted``. Document frequencies,
+the greedy's relevance matrix, single feature vectors and the report's
+coverage all come from that one enumeration, and a fitted set keeps the
+ground's enumeration for the greedy's relevance matrix, so ``select``
+walks the pool once. Sentences come in as a corpus's ``TokenStream``;
+the index maps its ids to its own through one lookup per distinct token.
 N-gram tuples and ``FeatureInfo`` objects are built only when a caller
 reads ``features`` or a feature vector.
 """
@@ -33,11 +33,11 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream, read_lines
 from .errors import ConfigError, EmptyCorpusError, StateError
-from .ngramkeys import chain_ranks, depths, prefix_tree, spell
+from .ngramkeys import batches, chain_ranks, depths, intern, prefix_tree, spell
 
 NGram = tuple[str, ...]
 
-_CHUNK = 2048  # sentences enumerated at once
+_CHUNK = 2048 * 15  # token positions enumerated at once (or one longer sentence)
 
 FEATURESET_MAGIC = "subselect-featureset"
 FEATURESET_VERSION = 1
@@ -233,10 +233,9 @@ class _NgramIndex:
         out: list = [None] * self.size
         tokens, base = np.array(list(self.tok_id), dtype=object), len(self.tok_id) + 1
         for k, (table, pos) in enumerate(zip(self.tables, self.position)):
-            ngrams = zip(*spell(table, self.tables[:k], tokens, base))
-            for p, ngram in zip(pos.tolist(), map(" ".join, ngrams) if joined else ngrams):
-                if p >= 0:
-                    out[p] = ngram
+            keep = pos >= 0  # a prefix that is no feature is not spelled
+            for p, ngram in zip(pos[keep].tolist(), spell(table[keep], self.tables[:k], tokens, base, joined)):
+                out[p] = ngram
         return out
 
     @cached_property
@@ -282,15 +281,14 @@ class _NgramIndex:
         sentences. Returns aligned int32 ``(row, position, count)``
         arrays: rows in input order and, within a row, features in the
         order a scan reaches them first, order by order and left to
-        right. Sentences are enumerated a chunk at a time, so the
-        temporary arrays stay small on any corpus.
+        right. Sentences are enumerated in batches of at most ``_CHUNK``
+        tokens (``ngramkeys.batches``), so temporaries stay small on any corpus.
         """
         stream = as_stream(sentences)
         tok = stream.lookup(self.tok_id, len(self.tok_id))
         edges = np.concatenate([[0], np.cumsum(stream.lens)])
         columns = [[np.empty(0, dtype=np.int32)] for _ in range(3)]
-        for start in range(0, len(stream), _CHUNK):
-            stop = min(start + _CHUNK, len(stream))
+        for start, stop in batches(stream.lens, _CHUNK):
             row, position, count = self._chunk_pairs(tok[edges[start] : edges[stop]], stream.lens[start:stop])
             for column, part in zip(columns, (row + start, position, count)):
                 column.append(part)
@@ -406,7 +404,7 @@ def _idf(doc_freq: np.ndarray, n: int) -> np.ndarray:
 
     ``math.log``, not ``np.log``: the two can differ in the last place.
     """
-    distinct, inverse = np.unique(doc_freq, return_inverse=True)
+    distinct, inverse = intern(doc_freq)
     logs = [math.log(n / df) if df > 0 else math.nan for df in distinct.tolist()]
     return np.array(logs, dtype=np.float64)[inverse]
 

@@ -21,9 +21,9 @@ Every probability comes from one kernel, ``_event_probs``: per order it
 interns a batch's own k-grams once, maps each distinct one into the
 tree of every model given (models that share one id map) with one
 lookup, and applies each model's smoothing rule. ``log_probs`` and
-``score_corpus`` feed it batches of whole sentences of about
-``_BATCH_POSITIONS`` padded positions, ``conditional_prob`` one
-history and word.
+``score_corpus`` feed it batches of whole sentences of at most
+``_BATCH_POSITIONS`` padded positions (``ngramkeys.batches``),
+``conditional_prob`` one history and word.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .corpus import Corpus, Sentence, TokenStream, as_stream, read_text
 from .errors import ConfigError, EmptyCorpusError
-from .ngramkeys import _LazyMapping, chain_ranks, depths, prefix_tree, rank, spell
+from .ngramkeys import _LazyMapping, batches, chain_ranks, depths, prefix_tree, rank, spell
 
 BOS = "<s>"
 EOS = "</s>"
@@ -102,23 +102,18 @@ def _padded(
     Tokens outside the vocabulary become the unknown marker; literal
     marker strings in running text are out-of-vocabulary too. With
     markers each sequence is start-padded to a full history and ends with
-    the end marker, whose event is scored. A batch ends at the last
-    sentence that keeps it within ``budget`` positions, or holds one
-    longer sentence alone. Yields per batch the token ids end to end,
-    each sequence's length, each position's depth (the tokens before it
+    the end marker, whose event is scored. A batch (``ngramkeys.batches``)
+    ends at the last sentence that keeps it within ``budget`` positions, or
+    holds one longer sentence alone. Yields per batch the token ids end to
+    end, each sequence's length, each position's depth (the tokens before it
     in its sequence) and the depth of every first event.
     """
     eos, unk, bos = len(ids) - 3, len(ids) - 2, len(ids) - 1
     words = stream.lookup(ids, unk)
     words[words >= eos] = unk  # marker strings in running text
     edges = np.concatenate([[0], np.cumsum(stream.lens)])
-    first = order - 1 if markers else 0
-    pad = first + 1 if markers else 0
-    ends = np.cumsum(stream.lens + pad)
-    start = 0
-    while start < len(stream):
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(ends.searchsorted(done + budget, side="right")))
+    first, pad = (order - 1, order) if markers else (0, 0)
+    for start, stop in batches(stream.lens + pad, budget):
         n_words = stream.lens[start:stop]
         lens = n_words + pad
         starts = np.cumsum(lens) - lens
@@ -127,7 +122,6 @@ def _padded(
         if markers:
             tok[starts + lens - 1] = eos
         yield tok, lens, depths(lens), first
-        start = stop
 
 
 @dataclass(frozen=True)
@@ -221,9 +215,8 @@ class NgramLanguageModel:
         with ``joined`` their tokens joined by spaces, and their counts."""
         table = self.tables[k - 1]
         counted = table.counts > 0
-        below = [t.keys for t in self.tables[: k - 1]]
-        grams = zip(*spell(table.keys[counted], below, np.array(self.tokens, dtype=object), len(self.tokens)))
-        return list(map(" ".join, grams) if joined else grams), table.counts[counted].tolist()
+        below, tokens = [t.keys for t in self.tables[: k - 1]], np.array(self.tokens, dtype=object)
+        return spell(table.keys[counted], below, tokens, len(tokens), joined), table.counts[counted].tolist()
 
     @cached_property
     def counts(self) -> dict[int, Mapping[tuple[str, ...], int]]:

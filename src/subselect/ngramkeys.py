@@ -8,8 +8,10 @@ is below its table's size. Level k of a tree holds its k-grams, each
 k-token prefix of a longer n-gram included, so every key's prefix is in
 the level below. This is the sorted-array layout of Heafield's KenLM:
 ``lm`` keeps each model as one such tree, ``features`` its n-gram
-universe. ``prefix_tree`` builds a tree from each order's n-grams,
-``chain_ranks`` from a token stream's windows, and ``spell`` spells keys.
+universe. ``intern`` sorts and ranks a level's keys, ``prefix_tree``
+builds a tree from each order's n-grams, ``chain_ranks`` from a token
+stream's windows, ``spell`` spells keys, and ``batches`` cuts a stream
+into runs of whole items within a size budget.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+_INT32_KEYS = 1 << 31  # ``intern`` ranks a level of this many keys or more in int64, past int32's range
 
 
 class _LazyMapping(Mapping):
@@ -46,6 +50,20 @@ class _LazyMapping(Mapping):
         return iter(self._decoded)
 
 
+def intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``unique(keys, return_inverse=True)`` from one argsort, one neighbour compare
+    and one cumulative sum; the ranks are int32 below ``_INT32_KEYS`` keys, int64 from there."""
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    new = np.ones(len(keys), dtype=bool)  # each key that differs from the one before
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    table = keys[new]
+    del keys
+    ranks = np.empty(len(perm), dtype=np.int32 if len(perm) < _INT32_KEYS else np.int64)
+    ranks[perm] = np.cumsum(new, dtype=ranks.dtype) - 1
+    return table, ranks
+
+
 def rank(
     sorted_keys: np.ndarray, parent: np.ndarray, token: np.ndarray, base: int, distinct: bool = False
 ) -> np.ndarray:
@@ -59,7 +77,7 @@ def rank(
     if len(sorted_keys) and len(ok):
         query = parent[ok] * base + token[ok]
         # look each distinct key up once; real text repeats most of them
-        query, inverse = (query, slice(None)) if distinct else np.unique(query, return_inverse=True)
+        query, inverse = (query, slice(None)) if distinct else intern(query)
         idx = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
         out[ok] = np.where(sorted_keys[idx] == query, idx, -1)[inverse]
     return out
@@ -72,35 +90,38 @@ def prefix_tree(
 
     ``grams[k - 1]`` holds the order-k n-grams as rows of token ids below
     ``base``, and ``values[k - 1]`` a value for each. Yields per level k
-    the sorted keys of every k-token prefix, interned with one argsort,
+    the sorted keys of every k-token prefix, interned by ``intern``,
     and each key's value: its order-k n-gram's (the last one where
     several are equal), or ``fill`` for a prefix only.
     """
     ranks = [np.zeros(len(v), dtype=np.int32) for v in values]  # each n-gram's rank at the level below
     for k, v in enumerate(values):
-        keys = np.concatenate([r * np.int64(base) + g[:, k] for r, g in zip(ranks, grams[k:])])
-        perm = np.argsort(keys)
-        keys = keys[perm]
-        new = np.ones(len(keys), dtype=bool)  # each key that differs from the one before
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        table = keys[new]
-        del keys
-        ranks = np.empty(len(perm), dtype=np.int32)
-        ranks[perm] = np.cumsum(new, dtype=np.int32) - 1
+        table, ranks = intern(np.concatenate([r * np.int64(base) + g[:, k] for r, g in zip(ranks, grams[k:])]))
         ranks = np.split(ranks, np.cumsum([len(u) for u in values[k:-1]]))
         level = np.full(len(table), fill, dtype=v.dtype)
         level[ranks.pop(0)] = v
         yield table, level
 
 
-def spell(keys: np.ndarray, below: Sequence[np.ndarray], tokens: np.ndarray, base: int) -> list[np.ndarray]:
-    """Some keys of one level spelled down the tree through the levels ``below``
-    it: per position, an array of the n-grams' tokens from ``tokens`` (by id)."""
+def spell(keys: np.ndarray, below: Sequence[np.ndarray], tokens: np.ndarray, base: int, joined: bool = False) -> list:
+    """Some keys of one level spelled down the tree through the levels ``below`` it: each n-gram
+    as a tuple of its tokens from ``tokens`` (by id), or with ``joined`` as one space-joined string."""
     columns = [tokens[keys % base]]
     for table in reversed(below):
         keys = table[keys // base]
         columns.insert(0, tokens[keys % base])
-    return columns
+    grams = zip(*columns)
+    return list(map(" ".join, grams) if joined else grams)
+
+
+def batches(sizes: np.ndarray, budget: float) -> Iterator[tuple[int, int]]:
+    """Runs ``lo, hi`` that cut items of these sizes, in order, into batches: each the
+    longest run from ``lo`` whose sizes sum to at most ``budget``, or one larger item alone."""
+    ends, lo = np.concatenate([[0], np.cumsum(sizes)]), 0  # ends[i]: the size of the first i items
+    while lo < len(sizes):
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] + budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def depths(lens: np.ndarray) -> np.ndarray:
@@ -142,7 +163,7 @@ def chain_ranks(
             ranks = rank(table, parent, tok, base)
         else:
             ok = parent >= 0
-            table, inverse = np.unique(parent[ok] * base + tok[ok], return_inverse=True)
+            table, inverse = intern(parent[ok] * base + tok[ok])
             ranks = np.full(n, -1, dtype=np.int64)
             ranks[ok] = inverse
         yield table, ranks

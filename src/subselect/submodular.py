@@ -51,7 +51,7 @@ import numpy as np
 from .corpus import Corpus, Sentence, TokenStream, as_stream
 from .errors import ConfigError, StateError
 from .features import FeatureSet, FeatureVector, RelevanceRows, _check_fitted, featurize, relevance_rows
-from .ngramkeys import _LazyMapping
+from .ngramkeys import _LazyMapping, batches
 
 logger = logging.getLogger(__name__)
 
@@ -190,19 +190,14 @@ class _Problem:
         order = self.widths[ids].argsort(kind="stable")  # rows of one width side by side
         ids = ids[order]
         widths = self.widths[ids]
-        ends = widths.cumsum()
         out = np.empty(len(ids), dtype=np.float64)
-        lo = 0
-        while lo < len(ids):
-            done = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(ends.searchsorted(done + _CHUNK_SLOTS, side="right")))
-            out[order[lo:hi]] = self._sorted_gains(ids[lo:hi], widths[lo:hi], ends[lo:hi] - done, mass, concave)
-            lo = hi
+        for lo, hi in batches(widths, _CHUNK_SLOTS):
+            out[order[lo:hi]] = self._sorted_gains(ids[lo:hi], widths[lo:hi], mass, concave)
         return out
 
-    def _sorted_gains(self, ids, widths, ends, mass: np.ndarray, concave: ConcaveSpec) -> np.ndarray:
-        """``gains`` of rows sorted by width, ``ends`` their cumulative widths:
-        one flat gather, then one 2-D sum per width."""
+    def _sorted_gains(self, ids, widths, mass: np.ndarray, concave: ConcaveSpec) -> np.ndarray:
+        """``gains`` of rows sorted by width: one flat gather, then one 2-D sum per width."""
+        ends = widths.cumsum()
         slots = (self.starts[ids] - (ends - widths)).repeat(widths) + np.arange(ends[-1])
         cols, vals = self.cols[slots], self.vals[slots]
         if concave.is_identity:

@@ -1,3 +1,11 @@
+import os
+from pathlib import Path
+
+# the commands and demos that tests run as child processes import the package under test too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one pass/fail line per acceptance criterion at the end of a run."""
     rows = []

@@ -30,7 +30,7 @@ from subselect.submodular import evaluate
 
 from features_reference import iter_ngrams
 from objective_reference import ref_evaluate
-from support import CURVES, make_corpus
+from support import CURVES, make_corpus, traced_peak
 
 TOKENS = ["a", "b", "c", "d"]
 
@@ -197,3 +197,13 @@ def test_chunked_enumeration_matches_one_pass(monkeypatch):
     chunked = features._index.pairs(ground.sentences)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
     assert len(whole[0]) > 40
+
+
+def test_fit_idf_peak_does_not_grow_with_sentence_length():
+    # 480 Zipf sentences of 250 tokens: the pool's enumeration is cut by tokens, not sentences
+    rng = np.random.default_rng(0)
+    lines = (rng.zipf(1.3, size=(480, 250)) % 2000).tolist()
+    ground = corpus([[f"w{t}" for t in line] for line in lines])
+    features = extract_feature_set(corpus([ground.sentences[i].source_tokens for i in range(0, 480, 10)]), 7)
+    run = traced_peak(lambda: fit_idf(features, ground))
+    assert run.peak <= 10 * 2**20, run.peak
