@@ -73,7 +73,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Budgeted in-domain subselection of text corpora.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
 
     sub = commands.add_parser("extract-features", help="build and fit an n-gram feature set")
     _add_common(sub)
@@ -82,7 +81,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--ground-src", required=True)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_extract_features)
-    subs["extract-features"] = sub
 
     sub = commands.add_parser("train-lm", help="train an n-gram language model")
     _add_common(sub)
@@ -97,7 +95,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="corpus whose tokens join the vocabulary, for a shared event space")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_train_lm)
-    subs["train-lm"] = sub
 
     sub = commands.add_parser("score", help="cross-entropy-difference score dump")
     _add_common(sub)
@@ -106,7 +103,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--lm-out", required=True)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_score)
-    subs["score"] = sub
 
     sub = commands.add_parser("select", help="select a sub-corpus under a budget")
     _add_common(sub)
@@ -126,7 +122,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="must be >= 1; selection is single-threaded, so it never changes the output")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_select)
-    subs["select"] = sub
 
     sub = commands.add_parser("oracle", help="check the greedy against the exhaustive optimum")
     _add_common(sub)
@@ -141,7 +136,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     given_only = ("tokenizer", "max_order", "feature_weights")
     sub.set_defaults(func=cmd_oracle, instance_defaults={name: sub.get_default(name) for name in given_only},
                      **dict.fromkeys(given_only))
-    subs["oracle"] = sub
 
     sub = commands.add_parser("report", help="coverage/redundancy report for finished selections")
     _add_common(sub)
@@ -154,9 +148,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--cost-mode", choices=("words", "unit"), default="words")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_report)
-    subs["report"] = sub
 
-    return parser, subs
+    return parser, commands.choices
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,7 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
     for key, value in _parse_config_file(path).items():
         flag = "--" + key
         action = valid.get(flag)
-        if action is None or flag == "--config":
+        if action is None or flag in ("--config", "--help"):  # neither is a setting
             raise ConfigError(f"config file {path}: unknown key {key!r} for command {command}")
         if action.nargs == 0:  # boolean switch
             low = value.lower()

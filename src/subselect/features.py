@@ -188,9 +188,9 @@ class _NgramIndex:
     def build(cls, ngrams: TokenStream, max_order: int) -> _NgramIndex:
         """The index of the n-grams in a stream, one a sentence, in this set order."""
         tok_id = _ids_of(ngrams.vocab)
-        lens, starts = ngrams.lens, np.cumsum(ngrams.lens) - ngrams.lens
+        lens = ngrams.lens
         rows = [np.flatnonzero(lens == k).astype(np.int32) for k in range(1, int(lens.max(initial=0)) + 1)]
-        grams = [ngrams.ids[starts[r, None] + np.arange(k)] for k, r in enumerate(rows, 1)]
+        grams = [ngrams.ids[ngrams.starts[r, None] + np.arange(k)] for k, r in enumerate(rows, 1)]
         levels = list(prefix_tree(grams, rows, len(tok_id) + 1, -1))
         return cls(tok_id, max_order, [table for table, _ in levels], [pos for _, pos in levels], len(lens))
 
@@ -242,10 +242,6 @@ class _NgramIndex:
     def ngrams(self) -> list[NGram]:
         """Every feature's token tuple, in set order."""
         return self._spell(joined=False)
-
-    def joined(self) -> list[str]:
-        """Every feature's tokens joined by spaces, in set order."""
-        return self._spell(joined=True)
 
     @cached_property
     def position_of(self) -> dict[NGram, int]:
@@ -473,11 +469,10 @@ def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
     col_of[active] = np.arange(len(active), dtype=np.int32)
     row, position, relevance = _relevance(features, features._pairs(sentences))
     col = col_of[position]
-    # one int64 key per (row, col) pair, each pair unique: the lexsort order, faster
-    by_col = np.argsort(row.astype(np.int64) * len(active) + col, kind="stable")
-    row = row[by_col]
     indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=len(sentences)), out=indptr[1:])
+    # one int64 key per (row, col) pair, each pair unique: the lexsort order, faster
+    by_col = np.argsort(row.astype(np.int64) * len(active) + col, kind="stable")
     return RelevanceRows(
         indptr=indptr,
         cols=col[by_col],
@@ -506,7 +501,7 @@ def save_feature_set(features: FeatureSet, path) -> None:
     always serialize byte-identically. idf is not stored; it is
     recomputed from the header's ground size and each record's doc_freq.
     """
-    joined = features._index.joined()
+    joined = features._index._spell(joined=True)
     weight, doc_freq = features.weight.tolist(), features.doc_freq.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{FEATURESET_MAGIC}\t{FEATURESET_VERSION}\n")

@@ -258,10 +258,16 @@ def train_lm(
     of a ranking pair. ``markers=False`` drops sentence start/end
     handling for analytic test cases.
     """
+    kind, add_k = check_lm_settings(order, smoothing, unk_floor)
+    if len(corpus) == 0:
+        raise EmptyCorpusError("cannot train a language model on an empty corpus")
     vocab = corpus_vocab(corpus, unk_floor)
     if extra_vocab is not None:
         vocab.update(extra_vocab)
-    return _train(corpus, order, smoothing, markers, unk_floor, vocab)
+    ids = _token_ids(vocab - {BOS, EOS, UNK})
+    [(tok, _, depth, first)] = _padded(corpus.source, ids, order, markers, math.inf)
+    tables = _count(tok, depth, first, order, len(ids))
+    return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
 
 def check_lm_settings(order: int, smoothing: str, unk_floor: int) -> tuple[str, float]:
@@ -271,20 +277,6 @@ def check_lm_settings(order: int, smoothing: str, unk_floor: int) -> tuple[str, 
     if unk_floor < 1:
         raise ConfigError(f"unk floor must be >= 1, got {unk_floor}")
     return parse_smoothing(smoothing)
-
-
-def _train(
-    corpus: Corpus, order: int, smoothing: str, markers: bool, unk_floor: int, vocab: set[str]
-) -> NgramLanguageModel:
-    """``train_lm`` over a vocabulary the caller has already collected."""
-    kind, add_k = check_lm_settings(order, smoothing, unk_floor)
-    if len(corpus) == 0:
-        raise EmptyCorpusError("cannot train a language model on an empty corpus")
-
-    ids = _token_ids(vocab - {BOS, EOS, UNK})
-    [(tok, _, depth, first)] = _padded(corpus.source, ids, order, markers, math.inf)
-    tables = _count(tok, depth, first, order, len(ids))
-    return NgramLanguageModel(order, kind, add_k, markers, unk_floor, ids, tables)
 
 
 def corpus_vocab(corpus: Corpus, unk_floor: int = 1) -> set[str]:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Corpus, TokenStream, as_stream
 from .errors import ConfigError
-from .lm import NgramLanguageModel, _log_probs, _train, corpus_vocab
+from .lm import NgramLanguageModel, _log_probs, corpus_vocab, train_lm
 from .submodular import SelectionState, SelectionStep, check_budget, sentence_costs
 
 
@@ -81,14 +81,13 @@ def train_domain_pair(
     markers: bool = True,
     unk_floor: int = 1,
 ) -> tuple[NgramLanguageModel, NgramLanguageModel]:
-    """Train the two ranking models over one shared vocabulary.
-
-    Sharing the vocabulary union keeps the score well-defined for tokens
-    known to only one side.
+    """Train the two ranking models over one shared vocabulary: each is
+    ``train_lm`` with the other side's vocabulary as ``extra_vocab``, as
+    ``train-lm --extra-vocab-src`` runs it, so the score stays well-defined
+    for tokens known to only one side.
     """
-    vocab = corpus_vocab(in_domain, unk_floor) | corpus_vocab(out_domain, unk_floor)
-    lm_in = _train(in_domain, order, smoothing, markers, unk_floor, vocab)
-    lm_out = _train(out_domain, order, smoothing, markers, unk_floor, vocab)
+    lm_in = train_lm(in_domain, order, smoothing, markers, unk_floor, corpus_vocab(out_domain, unk_floor))
+    lm_out = train_lm(out_domain, order, smoothing, markers, unk_floor, corpus_vocab(in_domain, unk_floor))
     return lm_in, lm_out
 
 

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -616,6 +618,22 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["help=1", "help=0", "config=other.cfg"])
+    def test_help_or_config_key_exits_2_before_writing(self, corpora, capsys, entry):
+        # help=1 would inject --help, which prints usage and exits 0 having done nothing
+        tmp, ground, in_domain = corpora
+        cfg = write(tmp / "run.cfg", entry + "\n")
+        out = tmp / "f.tsv"
+        rc = main([
+            "extract-features", "--config", cfg, "--in-domain-src", in_domain,
+            "--ground-src", ground, "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"unknown key {entry.split('=')[0]!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_line_exits_2(self, corpora):
         tmp, ground, in_domain = corpora
         cfg = write(tmp / "bad.cfg", "just a bare line\n")
@@ -656,6 +674,16 @@ class TestConfigFile:
         assert rc == 2
         assert f"error: no such file: {cfg}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_cli_keeps_every_name_the_benchmark_traces():
+    # perfbench/traced.py patches each SPANS key onto subselect.cli; a missing one fails every traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)  # defines SPANS; main runs only as a script
+    missing = [name for name in traced.SPANS if not callable(getattr(cli, name, None))]
+    assert traced.SPANS and not missing
 
 
 class TestUsageErrors:
