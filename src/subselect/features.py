@@ -168,6 +168,16 @@ def _ids_of(vocab: Sequence[str]) -> dict[str, int]:
     return dict(zip(vocab, range(len(vocab))))
 
 
+def _set_order(first: np.ndarray, order: np.ndarray, depth: np.ndarray, lens: np.ndarray, orders: int) -> np.ndarray:
+    """Set order of the n-grams of ``order`` first ending at ``first``: by sentence, order, then end
+    depth. One argsort of the distinct key ``(orders + 1) * start + order * length + depth``, which is
+    below ``(orders + 1) * tokens``, or a lexsort where that bound passes int64's range."""
+    start, end_depth = first - depth[first], depth[first]
+    if (orders + 1) * len(depth) > np.iinfo(np.int64).max:
+        return np.lexsort((end_depth, order, start))
+    return np.argsort((orders + 1) * start + order * np.repeat(lens, lens)[first] + end_depth)
+
+
 @dataclass(frozen=True)
 class _NgramIndex:
     """A feature universe as one prefix tree of chained integer keys (see ``ngramkeys``).
@@ -218,10 +228,8 @@ class _NgramIndex:
         sizes = [len(table) for table in tables]
         first = np.concatenate([np.empty(0, dtype=np.int64), *firsts])
         order = np.repeat(np.arange(1, len(tables) + 1), sizes)
-        sentence = np.repeat(np.arange(len(lens)), lens)
         rank_in_set = np.empty(len(first), dtype=np.int32)
-        # by sentence, then order, then start (the end's depth ranks starts of one order alike)
-        rank_in_set[np.lexsort((depth[first], order, sentence[first]))] = np.arange(len(first), dtype=np.int32)
+        rank_in_set[_set_order(first, order, depth, lens, len(tables))] = np.arange(len(first), dtype=np.int32)
         position = np.split(rank_in_set, np.cumsum(sizes)[:-1]) if tables else []
         count = np.empty(len(first), dtype=np.int64)
         count[rank_in_set] = np.concatenate([np.empty(0, dtype=np.int64), *counts])

@@ -14,11 +14,9 @@ worst-case guarantee on unit-cost instances.
 Both greedy variants pick, among the candidates (sentences with a
 positive cost within the budget) that still fit, the one maximizing
 marginal gain divided by cost, never overspending. The lazy variant
-keeps stale gain ratios in a max-heap, each entry with its gain and the
-step it was computed at: because gains only shrink as the selection
-grows, a stale value is an upper bound, and an entry that is still on
-top after recomputation is safe to take. Trajectories of the two
-variants are identical.
+keeps stale gain ratios in one sorted array: gains only shrink as the
+selection grows, so a stale ratio is an upper bound, and a recomputed one
+still ahead of every stale one is safe to take. Both trace one trajectory.
 
 ``objective`` is the one from-scratch f, over integer (column, relevance)
 pairs and a weight array; ``evaluate``, the report and the oracle use it.
@@ -30,20 +28,19 @@ each row bit for bit what ``np.sum`` gives over that row's terms alone
 that the two scalar definitions check it with code it does not share.
 The naive greedy calls it once per step; the lazy greedy calls it in
 element-bounded chunks for its first pass and then in growing batches of
-stale heap entries, keeping exactly the recomputations that one gain at
-a time would have made, so its picks and its recompute count are those
-of the one-at-a-time heap loop.
+stale keys, keeping exactly the recomputations that one gain at a time
+would have made, so its picks and its recompute count are those of the
+one-at-a-time heap loop.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -147,7 +144,7 @@ _PAIRWISE_BLOCK = 128
 # The kernel gathers at most this many slots at a time (or one longer row),
 # which bounds its temporaries to a few arrays of this length.
 _CHUNK_SLOTS = 1 << 14
-# The lazy greedy's first batch of stale heap entries in a step; each
+# The lazy greedy's first batch of stale keys in a step; each
 # further batch in the same step is twice as large.
 _FIRST_BATCH = 16
 
@@ -160,7 +157,7 @@ class _Problem:
     one extra column of weight -0.0 and mass 0, so every padding term is -0.0.
     """
 
-    def __init__(self, rows: RelevanceRows, costs: list[int]):
+    def __init__(self, rows: RelevanceRows, costs: Sequence[int]):
         self.lengths = lengths = np.diff(rows.indptr)
         self.widths = np.where(lengths <= _PAIRWISE_BLOCK, np.minimum(lengths | 7, _PAIRWISE_BLOCK), lengths)
         self.starts = np.cumsum(self.widths) - self.widths
@@ -172,8 +169,7 @@ class _Problem:
         self.vals = np.zeros(len(self.cols))
         self.vals[slots] = rows.vals
         self.weights = np.append(rows.weights, -0.0)
-        self.costs = costs  # int per sentence
-        self.cost_arr = np.asarray(costs, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=np.int64)
         self.col_names = rows.names
 
     def zero_mass(self) -> np.ndarray:
@@ -250,8 +246,9 @@ def _vector_instance(vectors, costs, weights: Mapping | None) -> tuple[list[Mapp
     """Check an explicit instance; return its plain vectors, integer costs and weights."""
     if len(vectors) != len(costs):
         raise ConfigError(f"{len(vectors)} vectors but {len(costs)} costs")
-    if any(not math.isfinite(c) or c < 1 or c != int(c) for c in costs):
-        raise ConfigError("every cost must be a positive integer")
+    for cost in costs:
+        if not (math.isfinite(cost) and cost == int(cost) and 1 <= cost <= np.iinfo(np.int64).max):
+            raise ConfigError(f"every cost must be a positive integer within int64's range, got {cost!r}")
     plain, weights = _plain(vectors), weights or {}
     _check_nonnegative("relevance", chain.from_iterable(entries.values() for entries in plain))
     _check_nonnegative("weight", weights.values())
@@ -374,7 +371,7 @@ def _finish_state(state: SelectionState, problem: _Problem, mass: np.ndarray) ->
 
 def _take(problem: _Problem, vid: int, gain: float, ratio: float, mass: np.ndarray, state: SelectionState) -> None:
     problem.add_to_mass(vid, mass)
-    state.spent += problem.costs[vid]
+    state.spent += int(problem.costs[vid])
     state.objective += gain
     state.selected.append(vid)
     state.trajectory.append(SelectionStep(vid, gain, ratio, state.spent))
@@ -383,12 +380,12 @@ def _take(problem: _Problem, vid: int, gain: float, ratio: float, mass: np.ndarr
 def _greedy_naive(problem: _Problem, concave, budget, remaining: np.ndarray, mass, state: SelectionState) -> None:
     while True:
         # one full pass over the candidates that still fit
-        remaining = remaining[state.spent + problem.cost_arr[remaining] <= budget]
+        remaining = remaining[problem.costs[remaining] <= budget - state.spent]
         state.evaluations_per_step.append(remaining.size)
         if not remaining.size:
             break
         gains = problem.gains(remaining, mass, concave)
-        ratios = gains / problem.cost_arr[remaining]
+        ratios = gains / problem.costs[remaining]
         best = int(np.argmax(ratios))  # the first, so the lowest id, of the highest ratios
         if gains[best] <= 0.0:
             break
@@ -396,68 +393,62 @@ def _greedy_naive(problem: _Problem, concave, budget, remaining: np.ndarray, mas
         remaining = np.delete(remaining, best)
 
 
+def _keys(gains: np.ndarray, costs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Keys ``-ratio + 1j * id``: numpy orders complex numbers by real, then imaginary
+    part, so keys order as the tuples ``(-ratio, id)``, equal ratios by the lower id."""
+    keys = np.empty(len(ids), dtype=np.complex128)
+    keys.real, keys.imag = -gains / costs[ids], ids
+    return keys
+
+
 def _greedy_lazy(problem: _Problem, concave, budget, candidates: np.ndarray, mass, state: SelectionState) -> None:
-    """Lazy greedy over a heap of entries ``(-ratio, id, gain, step)``.
+    """Lazy greedy over one sorted array of stale keys (``_keys``) and one gain array.
 
-    An entry's gain and ratio were computed against the first ``step``
-    picks, so it is fresh when ``step`` is the current pick count. A fresh
-    entry on top is taken; a stale one on top is recomputed, which
-    ``_refresh`` does for a batch of the stale entries that follow it,
-    committing only those that one-at-a-time recomputation would have
-    reached. Picks, gains and evaluation counts are those of the
-    one-at-a-time heap loop.
+    ``fresh`` holds the keys computed against the current picks (at step 0,
+    every candidate's) and ``stale[head:]`` the older ones, upper bounds in
+    ascending order. The least fresh key ``top`` is taken once it precedes
+    every stale key. Until then the stale keys ahead of it are recomputed
+    from the head in growing batches, committing only those that one at a
+    time recomputation would reach: it stops after key i once the best
+    recomputed key so far precedes stale key i + 1. After a pick the other
+    fresh keys merge back, and keys that can no longer fit are dropped once
+    the widest cost left could overspend. Picks, gains and evaluation
+    counts are those of the one-at-a-time heap loop.
     """
-    gains = problem.gains(candidates, mass, concave)
-    keys = (-gains / problem.cost_arr[candidates]).tolist()
-    heap = list(zip(keys, candidates.tolist(), gains.tolist(), repeat(0)))
-    heapq.heapify(heap)
-    evals, batch = len(heap), _FIRST_BATCH
-    while heap:
-        neg_ratio, vid, gain, step = heap[0]
-        if state.spent + problem.costs[vid] > budget:
-            heapq.heappop(heap)  # can never fit again: spent only grows
-        elif step == len(state.selected):
-            if gain <= 0.0:
-                break
-            heapq.heappop(heap)
-            _take(problem, vid, gain, -neg_ratio, mass, state)
-            state.evaluations_per_step.append(evals)
-            evals, batch = 0, _FIRST_BATCH
-        else:
-            evals += _refresh(problem, heap, batch, mass, concave, budget, state)
-            batch *= 2
-    state.evaluations_per_step.append(evals)
-
-
-def _refresh(problem, heap, batch, mass, concave, budget, state) -> int:
-    """Recompute the stale entries on top of ``heap``; return how many count.
-
-    Pops stale entries until a fresh one is on top or ``batch`` of them
-    still fit, dropping those that no longer fit, and evaluates the kept
-    ones in one ``gains`` call. Recomputing one at a time, the heap loop
-    would stop after entry i once the best recomputed entry so far precedes
-    entry i + 1; those first i + 1 go back with their new key, gain and the
-    current step, the others as they were. Ids are distinct, so entries
-    order by (key, id).
-    """
-    step = len(state.selected)
-    popped: list[tuple] = []
-    while heap and len(popped) < batch and heap[0][3] != step:
-        entry = heapq.heappop(heap)
-        if state.spent + problem.costs[entry[1]] <= budget:  # else it can never fit again: drop it
-            popped.append(entry)
-    ids = [entry[1] for entry in popped]
-    gains = problem.gains(ids, mass, concave)
-    keys = (-gains / problem.cost_arr[ids]).tolist()
-    fresh = list(zip(keys, ids, gains.tolist(), repeat(step)))
-    commit = len(fresh)
-    for i, (best, following) in enumerate(zip(accumulate(fresh, min), popped[1:]), 1):
-        if best < following:
-            commit = i
+    costs = problem.costs
+    gains = np.zeros(len(costs))  # by id: the gain its current key was computed with
+    gains[candidates] = problem.gains(candidates, mass, concave)
+    fresh = [_keys(gains[candidates], costs, candidates)]
+    top = fresh[0].min() if len(candidates) else None
+    stale, head = fresh[0][:0], 0
+    evals, batch, widest = len(candidates), _FIRST_BATCH, int(costs[candidates].max(initial=0))
+    while top is not None or head < stale.size:
+        if top is None or (head < stale.size and stale[head] < top):
+            popped = stale[head : head + batch]
+            if top is not None:
+                popped = popped[: np.searchsorted(popped, top)]
+            ids = popped.imag.astype(np.int64)
+            new = problem.gains(ids, mass, concave)
+            best = np.minimum.accumulate(keys := _keys(new, costs, ids))
+            stops = best[:-1] < popped[1:]
+            commit = int(stops.argmax()) + 1 if stops.any() else len(keys)
+            top = best[commit - 1] if top is None or best[commit - 1] < top else top
+            gains[ids[:commit]] = new[:commit]
+            fresh.append(keys[:commit])
+            head, evals, batch = head + commit, evals + commit, batch * 2
+            continue
+        vid = int(top.imag)
+        if gains[vid] <= 0.0:
             break
-    for entry in chain(fresh[:commit], popped[commit:]):
-        heapq.heappush(heap, entry)
-    return commit
+        _take(problem, vid, float(gains[vid]), float(-top.real), mass, state)
+        state.evaluations_per_step.append(evals)
+        rest, stale = np.sort(np.concatenate(fresh))[1:], stale[head:]  # the pick was the least
+        stale = np.insert(stale, np.searchsorted(stale, rest), rest)
+        if state.spent + widest > budget:
+            stale = stale[costs[stale.imag.astype(np.int64)] <= budget - state.spent]  # spent only grows
+            widest = int(costs[stale.imag.astype(np.int64)].max(initial=0))
+        fresh, top, head, evals, batch = [], None, 0, 0, _FIRST_BATCH
+    state.evaluations_per_step.append(evals)
 
 
 def _run_greedy(problem, concave, budget, cost_mode, variant) -> SelectionState:
@@ -465,14 +456,15 @@ def _run_greedy(problem, concave, budget, cost_mode, variant) -> SelectionState:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of: {', '.join(VARIANTS)}")
     # a row that costs nothing (no words, under word costs) gains nothing: never a candidate
-    costs = problem.cost_arr
-    candidates = np.flatnonzero((costs > 0) & (costs <= budget))
+    costs = problem.costs
+    limit = math.floor(budget) if math.isfinite(budget) else budget  # int costs fit it as they fit budget, exactly
+    candidates = np.flatnonzero((costs > 0) & (costs <= limit))
     if not candidates.size and costs.any():
         logger.warning("budget %s is below every sentence cost; selection is empty", budget)
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
     mass = problem.zero_mass()
     loop = _greedy_naive if variant == "naive" else _greedy_lazy
-    loop(problem, concave, budget, candidates, mass, state)
+    loop(problem, concave, limit, candidates, mass, state)
     state.gain_evaluations = sum(state.evaluations_per_step)
     return _finish_state(state, problem, mass)
 

@@ -5,12 +5,14 @@ same index, the same relevance rows and the same loaded sets."""
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference as ref
+from subselect import features as features_module
 from subselect.corpus import Corpus, Sentence
 from subselect.features import extract_feature_set, fit_idf, load_feature_set, relevance_rows, save_feature_set
 
@@ -92,3 +94,23 @@ def test_columnar_set_matches_the_dict_reference(ground_lines, in_domain_lines, 
             relevance_rows(ground.sentences, load_feature_set(path)),
             ref.relevance_rows(ground.sentences, ref.load_feature_set(path)),
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(in_domain_lines=sentences, max_order=st.integers(1, 7))
+def test_set_order_past_int64s_range_falls_back_to_a_lexsort(in_domain_lines, max_order):
+    # an order count whose key bound passes int64's range stands in for a
+    # corpus too large to pack: the set comes out the same through the lexsort
+    in_domain = corpus([line + ["z"] for line in in_domain_lines])
+    packed = features_module._set_order
+
+    def unpackable(first, order, depth, lens, orders):
+        return packed(first, order, depth, lens, 2**63)
+
+    with mock.patch.object(features_module, "_set_order", unpackable), mock.patch.object(
+        np, "lexsort", wraps=np.lexsort
+    ) as lexsort:
+        got = extract_feature_set(in_domain, max_order)
+    assert lexsort.call_count == 1
+    assert_same_set(got, ref.extract_feature_set(in_domain, max_order, "uniform"))
+    assert_same_set(extract_feature_set(in_domain, max_order), ref.extract_feature_set(in_domain, max_order, "uniform"))

@@ -207,32 +207,75 @@ class TestBatchedGreedyCountsAsTheHeapDid:
             assert got.selected == [0, 1]
             assert got.spent < 5
 
-    def test_a_tie_on_the_next_stale_key_goes_to_the_lower_id(self):
-        # stale heap (-4, 5) < (-3, 3) < (-2, 4); rows 3 and 5 both recompute to
-        # key -2. One at a time, the heap loop recomputes 5 and 3, then finds the
-        # fresh (-2, 3) ahead of the stale (-2, 4) and stops: two evaluations.
-        problem, heap, state = self.stale_heap()
-        evals = submodular._refresh(problem, heap, 16, problem.zero_mass(), KERNEL_CURVES["sqrt"], 6, state)
-        assert evals == 2
-        # (-ratio, id, gain, step): 3 and 5 go back fresh at step 0, 4 as it was
-        assert sorted(heap) == [(-2.0, 3, 2.0, 0), (-2.0, 4, 2.0, -1), (-2.0, 5, 2.0, 0)]
+    # Row 0 is worth 13 and takes the mass that halves rows 3 and 5 to exactly
+    # 2.0 = sqrt(16) - sqrt(4) = sqrt(9) - sqrt(1); row 4 is worth 2.0 throughout.
+    # After the first pick the stale keys are (-3.46, 5) < (-2.83, 3) < (-2, 4).
+    TIE = [{"c": 1.0, "e": 4.0, "f": 100.0}, {}, {}, {"c": 8.0}, {"d": 4.0}, {"e": 12.0}]
 
-    def test_refresh_stops_at_a_fresh_top_that_no_longer_fits(self):
-        # after a committed batch the fresh (-2, 3) is on top; once nothing fits,
-        # _refresh still stops there and leaves dropping it, and the stale row 4
-        # below it, to the heap loop
-        problem, heap, state = self.stale_heap()
-        mass = problem.zero_mass()
-        assert submodular._refresh(problem, heap, 16, mass, KERNEL_CURVES["sqrt"], 6, state) == 2
-        committed = sorted(heap)
-        state.spent = 6
-        assert submodular._refresh(problem, heap, 16, mass, KERNEL_CURVES["sqrt"], 6, state) == 0
-        assert sorted(heap) == committed
+    @pytest.mark.parametrize("first_batch", [1, 2, 16])
+    def test_a_tie_on_the_next_stale_key_goes_to_the_lower_id(self, first_batch):
+        # One at a time, the heap loop recomputes 5 and 3 to key -2, then finds
+        # the fresh (-2, 3) ahead of the stale (-2, 4) and takes it: two
+        # evaluations in step 1, however many the batch recomputed.
+        costs = [1] * 6
+        want = reference_run(ref._Problem(_vector_rows(self.TIE, None), costs), KERNEL_CURVES["sqrt"], 6, "lazy")
+        with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
+            got = greedy_select_vectors(self.TIE, costs, KERNEL_CURVES["sqrt"], 6)
+        assert_same_run(got, want)
+        assert got.selected == [0, 3, 4, 5]
+        assert [step.gain for step in got.trajectory[1:]] == [2.0, 2.0, 2.0]
+        assert got.evaluations_per_step == [6, 2, 1, 1, 1]  # the last: a fresh 0.0 on top stops the run
 
-    @staticmethod
-    def stale_heap():
-        vectors = [{}, {}, {}, {"a": 4.0}, {"b": 1.0}, {"a": 4.0}]
-        problem = _Problem(_vector_rows(vectors, None), [1] * 6)
-        # stale entries from before any pick: step -1
-        heap = [(-4.0, 5, 4.0, -1), (-3.0, 3, 3.0, -1), (-2.0, 4, 2.0, -1)]
-        return problem, heap, SelectionState()
+    @pytest.mark.parametrize("first_batch", [1, 2, 16])
+    def test_keys_that_no_longer_fit_are_dropped_uncounted(self, first_batch):
+        # Row 4 costs 2: after picks 0 and 3 (spent 2 of 3) it can never fit
+        # again and leaves uncounted; after 5 (spent 3) so does every other key,
+        # the fresh ones of the step before among them.
+        costs = [1, 1, 1, 1, 2, 1]
+        want = reference_run(ref._Problem(_vector_rows(self.TIE, None), costs), KERNEL_CURVES["sqrt"], 3, "lazy")
+        with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
+            got = greedy_select_vectors(self.TIE, costs, KERNEL_CURVES["sqrt"], 3)
+        assert_same_run(got, want)
+        assert got.selected == [0, 3, 5]
+        assert got.evaluations_per_step == [6, 2, 1, 0]
+
+    @pytest.mark.parametrize("first_batch", [1, 2, 16])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), curve=st.sampled_from(sorted(KERNEL_CURVES)))
+    def test_many_duplicates_under_word_costs_until_the_budget_runs_out(self, first_batch, data, curve):
+        # a few distinct lines, each repeated many times at its own word cost,
+        # and positive weights: every row keeps a positive gain, so the run
+        # ends because the budget is spent, with keys left over
+        base = data.draw(st.lists(vector.filter(bool), min_size=1, max_size=4))
+        base_costs = data.draw(st.lists(st.integers(1, 6), min_size=len(base), max_size=len(base)))
+        picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=8, max_size=40))
+        vectors, costs = [base[i] for i in picks], [base_costs[i] for i in picks]
+        budget = data.draw(st.integers(max(costs), sum(costs) - 1)) if sum(costs) > max(costs) else max(costs)
+        weights = data.draw(st.dictionaries(st.sampled_from("abcdefgh"), st.sampled_from([0.5, 1.0, 2.0])))
+        concave = KERNEL_CURVES[curve]
+        want = reference_run(ref._Problem(_vector_rows(vectors, weights), costs), concave, budget, "lazy")
+        with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
+            got = greedy_select_vectors(vectors, costs, concave, budget, weights)
+        assert_same_run(got, want)
+        assert got.spent <= budget and len(got.selected) < len(vectors)
+
+
+@pytest.mark.filterwarnings("error")
+def test_keys_order_as_the_tuples_they_stand_for():
+    # equal ratios, -0.0 and 0.0 among them, go to the lower id in every
+    # numpy operation the lazy greedy runs on keys
+    gains = np.array([0.0, -0.0, 2.0, 4.0, 0.0, 2.0, -0.0, 6.0])
+    ids = np.array([6, 5, 4, 3, 2, 1, 0, 7])
+    costs = np.array([1, 1, 2, 2, 1, 1, 1, 3], dtype=np.int64)  # by id
+    keys = submodular._keys(gains, costs, ids)
+    assert keys.dtype == np.complex128 and (np.signbit(keys.real) != np.signbit(gains)).all()
+    tuples = [(-g / costs[i], i) for g, i in zip(gains.tolist(), ids.tolist())]
+    assert [(k.real, int(k.imag)) for k in np.sort(keys).tolist()] == sorted(tuples)
+    assert [int(k.imag) for k in np.sort(keys).tolist()] == [1, 3, 4, 7, 0, 2, 5, 6]  # 2/1 == 4/2 == 6/3
+    for i in range(len(keys)):
+        assert (keys[i] < keys).tolist() == [tuples[i] < other for other in tuples]
+        assert int(keys[: i + 1].min().imag) == min(tuples[: i + 1])[1]
+    running = [int(k.imag) for k in np.minimum.accumulate(keys).tolist()]
+    assert running == [min(tuples[: i + 1])[1] for i in range(len(tuples))]
+    ordered = np.sort(keys)
+    assert np.searchsorted(ordered, keys).tolist() == [sorted(tuples).index(t) for t in tuples]

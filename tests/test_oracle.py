@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -159,6 +160,8 @@ class TestBruteForce:
         ([{"u": 1.0}, {"v": 1.0}], [1], None),
         ([{"u": 1.0}], [math.nan], None),
         ([{"u": 1.0}], [math.inf], None),
+        ([{"u": 1.0}], [2**63], None),  # one past int64's range
+        ([{"u": 1.0}], [1e30], None),
         ([{"u": -1.0}], [1], None),  # the sqrt of a negative mass is NaN
         ([{"u": math.nan}], [1], None),
         ([{"u": math.inf}], [1], None),
@@ -166,6 +169,7 @@ class TestBruteForce:
         ([{"u": 1.0}, {"v": 2.0}], [1, 1], {"u": math.nan}),  # a NaN gain ranked as the best
         ([{"u": 1.0}], [1], {"u": -2.0}),
     ], ids=["negative-cost", "zero-cost", "fractional-cost", "length-mismatch", "nan-cost", "infinite-cost",
+            "int64-overflowing-cost", "huge-float-cost",
             "negative-relevance", "nan-relevance", "infinite-relevance", "text-relevance", "nan-weight",
             "negative-weight"])
     def test_bad_vector_instance_rejected_as_the_greedy_rejects_it(self, vectors, costs, weights):
@@ -174,6 +178,24 @@ class TestBruteForce:
         with pytest.raises(ConfigError) as oracle_error:
             brute_force_vectors(vectors, costs, SQRT, budget=1, weights=weights)
         assert str(oracle_error.value) == str(greedy_error.value)
+
+    @pytest.mark.parametrize("cost", [2**63, 1e30, 2.0**64])
+    def test_a_cost_past_int64_is_named_by_both_paths(self, cost):
+        for variant in ("lazy", "naive"):
+            with pytest.raises(ConfigError, match=re.escape(f"within int64's range, got {cost!r}")):
+                greedy_select_vectors([{"u": 1.0}, {"v": 1.0}], [1, cost], SQRT, budget=2.0**70, variant=variant)
+        with pytest.raises(ConfigError, match=re.escape(f"within int64's range, got {cost!r}")):
+            brute_force_vectors([{"u": 1.0}, {"v": 1.0}], [1, cost], SQRT, budget=2.0**70)
+
+    def test_costs_near_int64s_limit_never_wrap(self):
+        # every cost fits int64, but two of them add up past it: the third
+        # must not look affordable through a wrapped sum
+        vectors, budget = [{"u": 1.0}, {"v": 1.0}, {"w": 1.0}], 2.0**63
+        for costs in ([2**62] * 3, [2**63 - 1, 1, 1]):
+            for variant in ("lazy", "naive"):
+                state = greedy_select_vectors(vectors, costs, SQRT, budget, variant=variant)
+                assert state.spent <= budget and len(state.selected) == 2, (costs, variant)
+            assert len(brute_force_vectors(vectors, costs, SQRT, budget)[0]) == 2
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
     def test_bad_budget_rejected_as_the_greedy_rejects_it(self, budget):
