@@ -81,9 +81,14 @@ class TokenStream:
 
     @classmethod
     def of(cls, texts: Iterable[Sequence[str]]) -> TokenStream:
-        """The token sequences interned, ids in string order."""
+        """The token sequences interned, ids in string order; a token that is empty
+        or holds whitespace, which no loader could produce, is a ``ValueError``."""
         texts = list(texts)
-        return cls.intern(chain.from_iterable(texts), np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
+        stream = cls.intern(chain.from_iterable(texts), np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
+        bad = [token for token in stream.vocab if token.split() != [token]]  # one check per distinct token
+        if bad:
+            raise ValueError(f"token {bad[0]!r} is empty or holds whitespace; no loader could produce it")
+        return stream
 
     @classmethod
     def intern(cls, tokens: Iterable[str], lens: np.ndarray) -> TokenStream:
@@ -260,8 +265,9 @@ def _tokenized(lines: list[str], tokenizer: str) -> Iterator[tuple[Iterable[str]
 def load_corpus(source_path, target_path=None, tokenizer: str = "whitespace") -> Corpus:
     """Read a corpus from disk.
 
-    Lines blank on both sides are skipped (counted and reported); a line
-    blank on exactly one side of a parallel pair is an alignment defect.
+    One leading byte-order mark (U+FEFF) is dropped from each file. Lines
+    blank on both sides are skipped (counted and reported); a line blank on
+    exactly one side of a parallel pair is an alignment defect.
     Remaining sentences are renumbered 0..n-1 in file order.
 
     Raises:
@@ -280,6 +286,8 @@ def load_corpus(source_path, target_path=None, tokenizer: str = "whitespace") ->
             raise AlignmentError(
                 f"source/target line counts differ: {len(src_lines)} vs {len(tgt_lines)}"
             )
+    for lines in filter(None, (src_lines, tgt_lines)):
+        lines[0] = lines[0].removeprefix("\ufeff")  # one leading byte-order mark per file
 
     source = _intern(_tokenized(src_lines, tokenizer))
     del src_lines

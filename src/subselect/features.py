@@ -332,9 +332,10 @@ class _NgramIndex:
 class RelevanceRows:
     """Relevance of sentences to the features with idf > 0, as a CSR matrix.
 
-    Row i's columns are ``cols[indptr[i]:indptr[i + 1]]``, ascending (in entry order where
-    ``submodular._entry_rows`` built them), with relevance ``vals`` (count * idf) at the same
-    offsets. Column j is the feature ``names[j]`` with weight ``weights[j]``.
+    Row i's columns are ``cols[indptr[i]:indptr[i + 1]]`` in order of first occurrence
+    (entry order where ``submodular._entry_rows`` built them), with relevance ``vals``
+    (count * idf) at the same offsets. Column j is the feature ``names[j]`` with weight
+    ``weights[j]``. Only ``submodular._Problem`` orders a row's columns.
     """
 
     indptr: np.ndarray
@@ -466,8 +467,8 @@ def featurize(sentence: Sentence, features: FeatureSet) -> FeatureVector:
 def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
     """The relevance vectors of a corpus's (or any) sentences at once, as one CSR matrix.
 
-    Columns are the features with idf > 0 in sorted n-gram order; row i
-    holds the same scores as ``featurize(sentences[i], features)``.
+    Columns number the features with idf > 0 in sorted n-gram order; row i
+    holds ``featurize(sentences[i], features)``'s entries, in the same order.
     """
     _check_fitted(features)
     index = features._index
@@ -476,18 +477,9 @@ def relevance_rows(sentences, features: FeatureSet) -> RelevanceRows:
     col_of = np.full(len(features), -1, dtype=np.int32)
     col_of[active] = np.arange(len(active), dtype=np.int32)
     row, position, relevance = _relevance(features, features._pairs(sentences))
-    col = col_of[position]
     indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=len(sentences)), out=indptr[1:])
-    # one int64 key per (row, col) pair, each pair unique: the lexsort order, faster
-    by_col = np.argsort(row.astype(np.int64) * len(active) + col, kind="stable")
-    return RelevanceRows(
-        indptr=indptr,
-        cols=col[by_col],
-        vals=relevance[by_col],
-        names=_Names(index, active),
-        weights=features.weight[active],
-    )
+    return RelevanceRows(indptr, col_of[position], relevance, _Names(index, active), features.weight[active])
 
 
 def count_ngrams(sentences, max_order: int) -> tuple[int, int]:

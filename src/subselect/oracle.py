@@ -19,8 +19,8 @@ import numpy as np
 
 from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
-from .features import FeatureSet, FeatureVector, _check_fitted, _relevance, count_ngrams
-from .features import extract_feature_set, fit_idf
+from .features import FeatureSet, FeatureVector, RelevanceRows, _check_fitted, _relevance, count_ngrams
+from .features import extract_feature_set, fit_idf, relevance_rows
 from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, greedy_select, objective, sentence_costs
 from .submodular import _corpus_costs, _entry_rows, _vector_instance, _weighted_sum
 from .xent import rank_and_select, score_corpus, train_domain_pair
@@ -38,14 +38,14 @@ def _check_size(n: int) -> None:
         raise SizeCapError(f"the exhaustive oracle is a test tool capped at {ORACLE_MAX_SENTENCES} sentences, not {n}")
 
 
-def _brute(indptr, cols, vals, weights, costs, concave, budget):
+def _brute(rows: RelevanceRows, costs, concave, budget):
     """Depth-first over ascending ids, scoring each subset that fits as ``objective`` would: prefix
-    masses plus the new CSR row's, then ``_weighted_sum``. A budget of 0 selects nothing; any
-    other is checked as the greedy checks it."""
+    masses plus the new row's, then ``_weighted_sum``. A budget of 0 selects nothing; any other
+    is checked as the greedy checks it."""
     if budget != 0:
         check_budget(budget)
-    n = len(costs)
-    bounds, cols, vals = indptr.tolist(), cols.tolist(), vals.tolist()
+    n, weights = len(costs), rows.weights
+    bounds, cols, vals = rows.indptr.tolist(), rows.cols.tolist(), rows.vals.tolist()
     rows = [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     best_ids: tuple[int, ...] = ()
     best_f = 0.0
@@ -82,9 +82,7 @@ def brute_force_optimal(
     sentences."""
     _check_size(len(ground))
     costs = _corpus_costs(ground, features, cost_mode)
-    row, feature, relevance = _relevance(features, features._index.pairs(ground))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(ground)))])
-    return _brute(indptr, feature, relevance, features.weight, costs, concave, budget)
+    return _brute(relevance_rows(ground, features), costs, concave, budget)
 
 
 def brute_force_vectors(
@@ -98,8 +96,7 @@ def brute_force_vectors(
     greedy_select_vectors checks them."""
     _check_size(len(vectors))
     plain, costs, weights = _vector_instance(vectors, costs, weights)
-    rows = _entry_rows(plain, weights)
-    return _brute(rows.indptr, rows.cols, rows.vals, rows.weights, costs, concave, budget)
+    return _brute(_entry_rows(plain, weights), costs, concave, budget)
 
 
 # ---------------------------------------------------------------------------

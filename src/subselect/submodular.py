@@ -39,7 +39,7 @@ import logging
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -155,19 +155,28 @@ class _Problem:
     Row r owns ``widths[r]`` slots from ``starts[r]`` in ``cols`` / ``vals``:
     its ascending columns with their relevances, then padding that points at
     one extra column of weight -0.0 and mass 0, so every padding term is -0.0.
+    A row's entries may come in any order: this is the one place that sorts them.
     """
 
     def __init__(self, rows: RelevanceRows, costs: Sequence[int]):
         self.lengths = lengths = np.diff(rows.indptr)
         self.widths = np.where(lengths <= _PAIRWISE_BLOCK, np.minimum(lengths | 7, _PAIRWISE_BLOCK), lengths)
         self.starts = np.cumsum(self.widths) - self.widths
-        self.n_features = len(rows.weights)
-        slots = np.repeat(self.starts - rows.indptr[:-1], lengths)
+        self.n_features = n = len(rows.weights)
+        # row * n + col is below 2**62 for int32 rows and columns; one argsort orders every row
+        key = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
+        key += rows.cols
+        order = key.argsort()
+        del key
+        slots = np.repeat(self.starts - rows.indptr[:-1], lengths)  # the slot of each sorted entry
         slots += np.arange(len(slots))
-        self.cols = np.full(int(self.widths.sum()), self.n_features, dtype=np.int32)
-        self.cols[slots] = rows.cols
+        dest = np.empty_like(slots)
+        dest[order] = slots
+        del order, slots  # each entry goes straight to its sorted slot: no sorted copy is held
+        self.cols = np.full(int(self.widths.sum()), n, dtype=np.int32)
+        self.cols[dest] = rows.cols
         self.vals = np.zeros(len(self.cols))
-        self.vals[slots] = rows.vals
+        self.vals[dest] = rows.vals
         self.weights = np.append(rows.weights, -0.0)
         self.costs = np.asarray(costs, dtype=np.int64)
         self.col_names = rows.names
@@ -223,13 +232,6 @@ def _entry_rows(plain: list[Mapping], weights: FeatureSet | Mapping | None) -> R
     vals = np.fromiter(chain.from_iterable(entries.values() for entries in plain), np.float64, len(cols))
     warr = np.array(list(map(_weight_of(weights), col_of)), dtype=np.float64)
     return RelevanceRows(np.cumsum([0, *map(len, plain)], dtype=np.int64), cols, vals, list(col_of), warr)
-
-
-def _vector_rows(plain: list[Mapping], weights: Mapping | None) -> RelevanceRows:
-    """``_entry_rows`` with each row's columns ascending, as the greedy's kernel needs."""
-    rows = _entry_rows(plain, weights)
-    by_col = np.lexsort((rows.cols, np.repeat(np.arange(len(plain)), np.diff(rows.indptr))))
-    return replace(rows, cols=rows.cols[by_col], vals=rows.vals[by_col])
 
 
 def _plain(vectors: Iterable[FeatureVector | Mapping]) -> list[Mapping]:
@@ -508,5 +510,5 @@ def greedy_select_vectors(
     """
     plain, costs, weights = _vector_instance(vectors, costs, weights)
     cost_mode = "unit" if all(c == 1 for c in costs) else "words"
-    problem = _Problem(_vector_rows(plain, weights), costs)
+    problem = _Problem(_entry_rows(plain, weights), costs)
     return _run_greedy(problem, concave, budget, cost_mode, variant)

@@ -3,19 +3,28 @@ before gains were evaluated in batches.
 
 Kept verbatim as references: the batched kernel must give every row the
 same float, and the batched greedy must select, score and count its gain
-evaluations exactly as these loops do. Build a problem with
-``_Problem(rows, costs)`` from the same ``RelevanceRows`` the code under
-test uses.
+evaluations exactly as these loops do. A reference row sums its terms in
+the order it holds them, while the batched ``_Problem`` orders each row's
+columns itself; so build a problem with ``_Problem(ascending(rows), costs)``
+from the same ``RelevanceRows`` the code under test gets, in whatever
+order within a row those come.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 
 from subselect.features import RelevanceRows
 from subselect.submodular import ConcaveSpec, SelectionState, SelectionStep, _finish_state
+
+
+def ascending(rows: RelevanceRows) -> RelevanceRows:
+    """``rows`` with each row's columns ascending, the order the batched kernel sums in."""
+    by_col = np.lexsort((rows.cols, np.repeat(np.arange(len(rows.indptr) - 1), np.diff(rows.indptr))))
+    return replace(rows, cols=rows.cols[by_col], vals=rows.vals[by_col])
 
 
 class _Problem:

@@ -7,7 +7,7 @@ import tracemalloc
 from typing import Any, Callable, NamedTuple
 
 from subselect.corpus import Corpus, Sentence
-from subselect.features import FeatureSet, extract_feature_set, fit_idf
+from subselect.features import FeatureSet, RelevanceRows, extract_feature_set, featurize, fit_idf
 from subselect.submodular import ConcaveSpec
 
 
@@ -67,3 +67,13 @@ def make_instance(rng: random.Random, n_ground: int | None = None, max_order: in
 
 def random_curve(rng: random.Random) -> ConcaveSpec:
     return rng.choice(CURVES)
+
+
+def assert_rows_are_featurize(rows: RelevanceRows, sentences, features: FeatureSet) -> None:
+    """Row i of ``relevance_rows(sentences, features)`` holds ``featurize(sentences[i])``'s
+    entries, in their order, each column named by its n-gram."""
+    assert len(rows.indptr) == len(sentences) + 1
+    for i, sentence in enumerate(sentences):
+        lo, hi = rows.indptr[i], rows.indptr[i + 1]
+        got = [(rows.names[c], v) for c, v in zip(rows.cols[lo:hi].tolist(), rows.vals[lo:hi].tolist())]
+        assert got == list(featurize(sentence, features).entries.items()), i

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 from subselect.cli import main
 from subselect.corpus import TOKENIZERS, Corpus, Sentence, load_corpus, tokenize
 from subselect.errors import AlignmentError, ConfigError, EmptyCorpusError
+from subselect.features import FeatureInfo, FeatureSet, extract_feature_set, featurize, fit_idf, relevance_rows
+from subselect.lm import load_lm, log_probs, save_lm, train_lm
 from support import traced_peak
 
 
@@ -72,6 +75,13 @@ class TestLoadMono:
         corpus = load_corpus(str(src))
         assert [s.source_tokens for s in corpus] == [("a", "b"), ("c", "d")]
 
+    def test_a_line_holding_only_the_byte_order_mark_is_blank(self, tmp_path):
+        src = tmp_path / "s.txt"
+        src.write_bytes(b"\xef\xbb\xbf\na b\n")
+        corpus = load_corpus(str(src))
+        assert list(corpus) == [Sentence(0, ("a", "b"))]
+        assert corpus.n_skipped == 1
+
     def test_lowercase_tokenizer_applied(self, tmp_path):
         src = write(tmp_path / "mono.txt", "A B\n")
         corpus = load_corpus(src, tokenizer="lowercase-whitespace")
@@ -121,6 +131,19 @@ class TestLoadParallel:
         ]
         assert corpus.n_skipped == 0
 
+    def test_a_leading_byte_order_mark_is_dropped_on_both_sides(self, tmp_path):
+        src = tmp_path / "s.txt"
+        tgt = tmp_path / "t.txt"
+        src.write_bytes(b"\xef\xbb\xbfa b c\na\n")
+        tgt.write_bytes(b"\xef\xbb\xbfx\n\xef\xbb\xbfy\n")
+        corpus = load_corpus(str(src), str(tgt))
+        # only the file's first character is a byte-order mark; a later U+FEFF is text
+        assert [(s.source_tokens, s.target_tokens) for s in corpus] == [
+            (("a", "b", "c"), ("x",)),
+            (("a",), ("\ufeffy",)),
+        ]
+        assert corpus.source.vocab == ("a", "b", "c")
+
 
 class TestCorpusInvariants:
     def test_ids_must_be_contiguous(self):
@@ -135,6 +158,45 @@ class TestCorpusInvariants:
         sent = Sentence(0, ("a",))
         with pytest.raises(AttributeError):
             sent.id = 3
+
+
+# tokens that no loader could produce: each is empty or holds whitespace
+UNWRITABLE = ["", "a b", "x\ny", "\t", "a\u3000b", "a\x1fb"]
+
+
+class TestTokensNoLoaderCouldProduce:
+    @pytest.mark.parametrize("token", UNWRITABLE)
+    def test_corpus_rejects_one_on_either_side(self, token):
+        # so write_selected_corpus never writes a line that splits or vanishes
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            Corpus([Sentence(0, (token, "z")), Sentence(1, ("w",))])
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            Corpus([Sentence(0, ("z",), ("w", token))], parallel=True)
+
+    @pytest.mark.parametrize("token", UNWRITABLE)
+    def test_feature_set_rejects_one_in_a_feature(self, token):
+        # so save_feature_set never writes a record that loads as another feature
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            FeatureSet(2, {("a",): FeatureInfo(), ("a", token): FeatureInfo(2.0, 1)}, 3)
+
+    @pytest.mark.parametrize("token", UNWRITABLE)
+    def test_sentence_lists_reject_one(self, token):
+        ground = Corpus([Sentence(0, ("a", "b")), Sentence(1, ("c",))])
+        features = fit_idf(extract_feature_set(ground, 2), ground)
+        lm = train_lm(ground, order=2)
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            featurize(Sentence(0, ("a", token)), features)
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            relevance_rows([Sentence(0, ("a",)), Sentence(1, (token,))], features)
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            log_probs(lm, [("a",), (token, "b")])
+
+    def test_a_language_model_round_trips_once_its_corpus_is_built(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(repr("a b"))):
+            Corpus([Sentence(0, ("a b", "c"))])
+        lm = train_lm(Corpus([Sentence(0, ("a\x01b", "c"))]), order=2)  # not whitespace: a token
+        save_lm(lm, tmp_path / "lm.json")
+        assert log_probs(load_lm(tmp_path / "lm.json"), [("a\x01b", "c")]) == log_probs(lm, [("a\x01b", "c")])
 
 
 # whitespace that str.split() knows beyond the ASCII space, and letters

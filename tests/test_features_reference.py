@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference as ref
+from greedy_reference import ascending
 from subselect import features as features_module
 from subselect.corpus import Corpus, Sentence
 from subselect.features import extract_feature_set, fit_idf, load_feature_set, relevance_rows, save_feature_set
+
+from support import assert_rows_are_featurize
 
 # "a\x01" sorts before "a b" as a string but after "a" as a token, so the
 # file's record order is not the index's n-gram order
@@ -44,7 +47,10 @@ def assert_same_set(got, want):
         assert np.array_equal(position, want_position)
 
 
-def assert_same_rows(got, want):
+def assert_same_rows(got, want, sentences, features):
+    """``got`` is the reference's ascending ``want`` with each row in ``featurize``'s order."""
+    assert_rows_are_featurize(got, sentences, features)
+    got = ascending(got)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.cols, want.cols)
     assert np.array_equal(got.vals, want.vals)
@@ -80,19 +86,23 @@ def test_columnar_set_matches_the_dict_reference(ground_lines, in_domain_lines, 
     assert_same_set(raw, want_raw)  # fitting left the input alone
 
     expected = ref.relevance_rows(ground.sentences, want)
-    assert_same_rows(relevance_rows(ground.sentences, fitted), expected)  # fit_idf's enumeration
+    rows = relevance_rows(ground.sentences, fitted)  # from fit_idf's enumeration
     assert fitted._ground is None
-    assert_same_rows(relevance_rows(ground.sentences, fitted), expected)  # a fresh one
-    subset = ground.sentences[::2]
-    assert_same_rows(relevance_rows(subset, fit_idf(raw, ground)), ref.relevance_rows(subset, want))
+    assert_same_rows(rows, expected, ground.sentences, fitted)
+    assert_same_rows(relevance_rows(ground.sentences, fitted), expected, ground.sentences, fitted)  # a fresh one
+    subset, refitted = ground.sentences[::2], fit_idf(raw, ground)
+    assert_same_rows(relevance_rows(subset, refitted), ref.relevance_rows(subset, want), subset, refitted)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.tsv"
         save_feature_set(fitted, path)
-        assert_same_set(load_feature_set(path), ref.load_feature_set(path))
+        loaded = load_feature_set(path)
+        assert_same_set(loaded, ref.load_feature_set(path))
         assert_same_rows(
-            relevance_rows(ground.sentences, load_feature_set(path)),
+            relevance_rows(ground.sentences, loaded),
             ref.relevance_rows(ground.sentences, ref.load_feature_set(path)),
+            ground.sentences,
+            loaded,
         )
 
 

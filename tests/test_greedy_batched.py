@@ -3,6 +3,7 @@ one-at-a-time references (``greedy_reference``): the same float for every
 row, and the same picks, gains and evaluation counts for every run."""
 
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,9 @@ from subselect.features import RelevanceRows, extract_feature_set, fit_idf, rele
 from subselect.submodular import (
     ConcaveSpec,
     SelectionState,
+    _entry_rows,
     _Problem,
-    _vector_rows,
+    _run_greedy,
     greedy_select,
     greedy_select_vectors,
     reference_gain,
@@ -124,6 +126,11 @@ class TestGainsKernel:
         assert not np.signbit(gains).any()
 
 
+def vector_problem(vectors, weights, costs) -> ref._Problem:
+    """The reference problem of an explicit instance, its rows ascending."""
+    return ref._Problem(ref.ascending(_entry_rows(vectors, weights)), costs)
+
+
 def reference_run(problem, concave, budget, variant, cost_mode="words") -> SelectionState:
     state = SelectionState(budget=float(budget), cost_mode=cost_mode, variant=variant)
     loop = ref._greedy_lazy if variant == "lazy" else ref._greedy_naive
@@ -166,7 +173,7 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         vectors, costs, weights, budget = instance
         concave = KERNEL_CURVES[curve]
         for variant in ("lazy", "naive"):
-            want = reference_run(ref._Problem(_vector_rows(vectors, weights), costs), concave, budget, variant)
+            want = reference_run(vector_problem(vectors, weights, costs), concave, budget, variant)
             with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
                 got = greedy_select_vectors(vectors, costs, concave, budget, weights, variant)
             assert_same_run(got, want)
@@ -189,7 +196,7 @@ class TestBatchedGreedyCountsAsTheHeapDid:
             budget = rng.randint(1, max(1, limit // 2))
             concave = rng.choice(list(KERNEL_CURVES.values()))
             costs = [s.cost if cost_mode == "words" else 1 for s in ground]
-            rows = relevance_rows(ground.sentences, features)
+            rows = ref.ascending(relevance_rows(ground.sentences, features))
             for variant in ("lazy", "naive"):
                 want = reference_run(ref._Problem(rows, costs), concave, budget, variant, cost_mode)
                 with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
@@ -200,7 +207,7 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         vectors = [{"a": 2.0}, {"a": 2.0}, {}, {"b": 1.0}, {"b": 1.0}]
         weights = {"b": 0.0}
         for variant in ("lazy", "naive"):
-            problem = ref._Problem(_vector_rows(vectors, weights), [1] * 5)
+            problem = vector_problem(vectors, weights, [1] * 5)
             want = reference_run(problem, KERNEL_CURVES["sqrt"], 5, variant)
             got = greedy_select_vectors(vectors, [1] * 5, KERNEL_CURVES["sqrt"], 5, weights, variant)
             assert_same_run(got, want)
@@ -218,7 +225,7 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         # the fresh (-2, 3) ahead of the stale (-2, 4) and takes it: two
         # evaluations in step 1, however many the batch recomputed.
         costs = [1] * 6
-        want = reference_run(ref._Problem(_vector_rows(self.TIE, None), costs), KERNEL_CURVES["sqrt"], 6, "lazy")
+        want = reference_run(vector_problem(self.TIE, None, costs), KERNEL_CURVES["sqrt"], 6, "lazy")
         with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
             got = greedy_select_vectors(self.TIE, costs, KERNEL_CURVES["sqrt"], 6)
         assert_same_run(got, want)
@@ -232,7 +239,7 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         # again and leaves uncounted; after 5 (spent 3) so does every other key,
         # the fresh ones of the step before among them.
         costs = [1, 1, 1, 1, 2, 1]
-        want = reference_run(ref._Problem(_vector_rows(self.TIE, None), costs), KERNEL_CURVES["sqrt"], 3, "lazy")
+        want = reference_run(vector_problem(self.TIE, None, costs), KERNEL_CURVES["sqrt"], 3, "lazy")
         with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
             got = greedy_select_vectors(self.TIE, costs, KERNEL_CURVES["sqrt"], 3)
         assert_same_run(got, want)
@@ -253,11 +260,42 @@ class TestBatchedGreedyCountsAsTheHeapDid:
         budget = data.draw(st.integers(max(costs), sum(costs) - 1)) if sum(costs) > max(costs) else max(costs)
         weights = data.draw(st.dictionaries(st.sampled_from("abcdefgh"), st.sampled_from([0.5, 1.0, 2.0])))
         concave = KERNEL_CURVES[curve]
-        want = reference_run(ref._Problem(_vector_rows(vectors, weights), costs), concave, budget, "lazy")
+        want = reference_run(vector_problem(vectors, weights, costs), concave, budget, "lazy")
         with mock.patch.object(submodular, "_FIRST_BATCH", first_batch):
             got = greedy_select_vectors(vectors, costs, concave, budget, weights)
         assert_same_run(got, want)
         assert got.spent <= budget and len(got.selected) < len(vectors)
+
+
+def shuffled(rng: np.random.Generator, rows: RelevanceRows) -> RelevanceRows:
+    """``rows`` with each row's entries in a random order."""
+    row_of = np.repeat(np.arange(len(rows.indptr) - 1), np.diff(rows.indptr))
+    order = np.lexsort((rng.random(len(rows.cols)), row_of))
+    return replace(rows, cols=rows.cols[order], vals=rows.vals[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.one_of(st.integers(0, 20), st.integers(0, 300)), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    curve=st.sampled_from(sorted(KERNEL_CURVES)),
+    budget=st.integers(1, 30),
+)
+def test_rows_in_any_order_within_a_row_give_the_ascending_rows_bits(lengths, seed, curve, budget):
+    # _Problem orders each row's columns itself: the references, summing in
+    # the order given, get the same rows ascending
+    rng = np.random.default_rng(seed)
+    rows = shuffled(rng, random_rows(rng, lengths))
+    costs = rng.integers(1, 5, len(lengths)).tolist()
+    concave = KERNEL_CURVES[curve]
+    problem, single = _Problem(rows, costs), ref._Problem(ref.ascending(rows), costs)
+    mass = random_mass(rng)
+    gains = problem.gains(range(len(lengths)), np.append(mass, 0.0), concave)
+    want = np.array([single.gain(vid, mass, concave) for vid in range(len(lengths))])
+    assert gains.tobytes() == want.tobytes()
+    for variant in ("lazy", "naive"):
+        got = _run_greedy(problem, concave, budget, "words", variant)
+        assert_same_run(got, reference_run(single, concave, budget, variant))
 
 
 @pytest.mark.filterwarnings("error")

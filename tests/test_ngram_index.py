@@ -29,8 +29,9 @@ from subselect.oracle import coverage_report, method_metrics
 from subselect.submodular import evaluate
 
 from features_reference import iter_ngrams
+from greedy_reference import ascending
 from objective_reference import ref_evaluate
-from support import CURVES, make_corpus, traced_peak
+from support import CURVES, assert_rows_are_featurize, make_corpus, traced_peak
 
 TOKENS = ["a", "b", "c", "d"]
 
@@ -93,6 +94,8 @@ def check_against_reference(features, ground, ids, curve):
 
     names, rows = ref_rows(ground.sentences, features)
     csr = relevance_rows(ground.sentences, features)
+    assert_rows_are_featurize(csr, ground.sentences, features)
+    csr = ascending(csr)  # the reference's rows are ascending
     assert csr.names == names
     assert np.array_equal(csr.weights, [features.features[u].weight for u in names])
     for i, (cols, vals) in enumerate(rows):
