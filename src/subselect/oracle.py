@@ -46,7 +46,7 @@ def _brute(rows: RelevanceRows, costs, concave, budget):
         check_budget(budget)
     n, weights = len(costs), rows.weights
     bounds, cols, vals = rows.indptr.tolist(), rows.cols.tolist(), rows.vals.tolist()
-    rows = [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    pairs = [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     best_ids: tuple[int, ...] = ()
     best_f = 0.0
 
@@ -57,7 +57,7 @@ def _brute(rows: RelevanceRows, costs, concave, budget):
             if spent + cost > budget:
                 continue
             grown = dict(mass)
-            for col, val in rows[idx]:
+            for col, val in pairs[idx]:
                 grown[col] = grown.get(col, 0.0) + val
             touched = np.fromiter(grown, np.int64, len(grown))
             value = _weighted_sum(weights[touched], np.fromiter(grown.values(), np.float64, len(grown)), concave)

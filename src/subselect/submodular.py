@@ -163,7 +163,7 @@ class _Problem:
         self.widths = np.where(lengths <= _PAIRWISE_BLOCK, np.minimum(lengths | 7, _PAIRWISE_BLOCK), lengths)
         self.starts = np.cumsum(self.widths) - self.widths
         self.n_features = n = len(rows.weights)
-        # row * n + col is below 2**62 for int32 rows and columns; one argsort orders every row
+        # row * n + col fits int64 for int32 rows and columns; one argsort orders every row
         key = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
         key += rows.cols
         order = key.argsort()
