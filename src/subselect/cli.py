@@ -4,8 +4,9 @@ Subcommands: extract-features, train-lm, score, select, oracle, report.
 Options may also come from a flat key=value config file (--config);
 explicit flags win. Diagnostics go to stderr, data to the output files.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-`_submod` (the coverage branch), `_write_method` and `_write_report` are
-each spelled once; `--concave` is parsed by argparse, before any input.
+`run_select` is the one `select` pipeline, run by `oracle.compare_methods`
+too. `_submod` (the coverage branch), `_write_method` and `_write_report`
+are each spelled once; `--concave` is parsed by argparse, before any input.
 """
 
 from __future__ import annotations
@@ -268,6 +269,26 @@ def _submod(ground, in_domain, budget, cost_mode, concave, max_order, weighting,
     return features, greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
 
 
+def run_select(ground, in_domain, method, budget, cost_mode, concave, max_order, weighting,
+               variant, lm_order, lm_smoothing, unk_floor):
+    """The `select` pipeline for ``method`` (submod, xent or both): each method's (name, state),
+    the xent scores (or None) and the `both` report (or None). It calls every layer by its name
+    in this module, where perfbench/traced.py and tools/phase_peaks.py patch it."""
+    states, scores, report = [], None, None
+    if method in ("submod", "both"):
+        features, state = _submod(ground, in_domain, budget, cost_mode, concave, max_order, weighting, variant)
+        states.append(("submod", state))
+    if method in ("xent", "both"):
+        lm_in, lm_out = train_domain_pair(in_domain, ground, lm_order, lm_smoothing, unk_floor=unk_floor)
+        scores = score_corpus(ground, lm_in, lm_out)
+        del lm_in, lm_out  # nothing after scoring reads the pair; free it before rank and report
+        states.append(("xent", rank_and_select(ground, scores, budget, cost_mode)))
+    if method == "both":
+        selections = [(name, state.selected) for name, state in states]
+        report = build_report(ground, features, concave, selections, budget, cost_mode)
+    return states, scores, report
+
+
 def _write_method(out_dir: Path, method: str, ground, state) -> None:
     """One method's selection TSV, selected sentences and summary."""
     write_selection_tsv(out_dir / f"{method}.selection.tsv", state)
@@ -342,27 +363,17 @@ def cmd_select(args) -> int:
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.method in ("submod", "both"):
-        features, state = _submod(ground, in_domain, budget, cost_mode, args.concave,
-                                  args.max_order, args.feature_weights, args.variant)
-        _write_method(out_dir, "submod", ground, state)
-        logger.info("submod: %d sentence(s), spent %d, objective %.6g",
-                    len(state.selected), state.spent, state.objective)
-
-    if args.method in ("xent", "both"):
-        lm_in, lm_out = train_domain_pair(
-            in_domain, ground, args.lm_order, args.lm_smoothing, unk_floor=args.unk_floor
-        )
-        scores = score_corpus(ground, lm_in, lm_out)
+    states, scores, report = run_select(
+        ground, in_domain, args.method, budget, cost_mode, args.concave, args.max_order, args.feature_weights,
+        args.variant, args.lm_order, args.lm_smoothing, args.unk_floor,
+    )
+    if scores is not None:
         write_scores_tsv(out_dir / "xent.scores.tsv", scores)
-        xstate = rank_and_select(ground, scores, budget, cost_mode)
-        _write_method(out_dir, "xent", ground, xstate)
-        logger.info("xent: %d sentence(s), spent %d", len(xstate.selected), xstate.spent)
-
-    if args.method == "both":
-        selections = [("submod", state.selected), ("xent", xstate.selected)]
-        _write_report(out_dir, build_report(ground, features, args.concave, selections, budget, cost_mode))
+    for name, state in states:
+        _write_method(out_dir, name, ground, state)
+        logger.info("%s: %d sentence(s), spent %d", name, len(state.selected), state.spent)
+    if report is not None:
+        _write_report(out_dir, report)
     return 0
 
 

@@ -8,6 +8,8 @@ in ``submodular``, does (column masses in first-touch order, then its
 ``_weighted_sum``), never with the greedy's array kernel, so it checks
 that kernel independently. The report scores every method with
 ``objective`` itself and builds each of its formats from ``MethodMetrics``' fields.
+``compare_methods`` runs `select --method both`'s pipeline (``cli.run_select``)
+and returns the report that `select` writes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import numpy as np
 from .corpus import Corpus, TokenStream
 from .errors import SizeCapError
 from .features import FeatureSet, FeatureVector, RelevanceRows, _check_fitted, _relevance, count_ngrams
-from .features import extract_feature_set, fit_idf, relevance_rows
-from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, greedy_select, objective, sentence_costs
+from .features import relevance_rows
+from .submodular import DEFAULT_CONCAVE, ConcaveSpec, check_budget, objective, sentence_costs
 from .submodular import _corpus_costs, _entry_rows, _vector_instance, _weighted_sum
-from .xent import rank_and_select, score_corpus, train_domain_pair
 
 ORACLE_MAX_SENTENCES = 20
 GUARANTEE_FLOOR = 0.63  # contractual pass line for the greedy/optimal ratio
@@ -276,11 +277,8 @@ def compare_methods(
     lm_smoothing: str = "interpolated-wb",
     unk_floor: int = 1,
 ) -> ComparisonReport:
-    """Run both selectors on identical inputs and report side-by-side metrics."""
-    features = fit_idf(extract_feature_set(in_domain, max_order, feature_weighting), ground)
-    submod_state = greedy_select(ground, features, concave, budget, cost_mode=cost_mode, variant=variant)
-    lm_in, lm_out = train_domain_pair(in_domain, ground, lm_order, lm_smoothing, unk_floor=unk_floor)
-    scores = score_corpus(ground, lm_in, lm_out)
-    xent_state = rank_and_select(ground, scores, budget, cost_mode)
-    selections = [("submod", submod_state.selected), ("xent", xent_state.selected)]
-    return build_report(ground, features, concave, selections, budget, cost_mode)
+    """Run `select --method both`'s pipeline and return the report `select` writes."""
+    # not at load: `import subselect` must not load subselect.cli, or `python -m subselect.cli` warns
+    from .cli import run_select
+    return run_select(ground, in_domain, "both", budget, cost_mode, concave, max_order, feature_weighting,
+                      variant, lm_order, lm_smoothing, unk_floor)[2]

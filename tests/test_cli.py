@@ -13,6 +13,10 @@ from subselect.corpus import load_corpus
 from subselect.features import load_feature_set, save_feature_set
 from subselect.lm import load_lm
 from subselect.oracle import compare_methods
+from test_golden import FILES as GOLDEN_FILES
+from test_golden import SUBMOD_FILES
+
+XENT_FILES = ("xent.scores.tsv", "xent.selection.tsv", "xent.selected.src", "xent.summary.txt")
 
 
 def write(path, text):
@@ -244,6 +248,15 @@ class TestSelect:
         _, b = self.run_select(tmp, ground, in_domain, "vl", "--variant", "lazy")
         assert (a / "submod.selection.tsv").read_bytes() == (b / "submod.selection.tsv").read_bytes()
 
+    @pytest.mark.parametrize("method, files", [
+        ("submod", SUBMOD_FILES), ("xent", XENT_FILES), ("both", GOLDEN_FILES),
+    ])
+    def test_each_method_writes_exactly_its_files(self, corpora, method, files):
+        tmp, ground, in_domain = corpora
+        rc, out_dir = self.run_select(tmp, ground, in_domain, method, "--method", method, "--lm-order", "2")
+        assert rc == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(files)
+
     def test_xent_method_outputs(self, corpora):
         tmp, ground, in_domain = corpora
         rc, out_dir = self.run_select(
@@ -272,7 +285,7 @@ class TestSelect:
         (("--budget-words", "6"), "words"), (("--budget-sentences", "2"), "unit"),
     ], ids=["words", "unit"])
     def test_both_reports_what_compare_methods_reports(self, corpora, budget, cost_mode):
-        # compare_methods spells the select pipeline outside the CLI, so pin the two together
+        # compare_methods runs select's pipeline, so its report is the one select writes
         tmp, ground, in_domain = corpora
         out_dir = tmp / "both"
         assert main([
@@ -676,14 +689,37 @@ class TestConfigFile:
         assert not out_dir.exists()
 
 
-def test_cli_keeps_every_name_the_benchmark_traces():
-    # perfbench/traced.py patches each SPANS key onto subselect.cli; a missing one fails every traced run
+def _traced():
+    """perfbench/traced.py, loaded read-only: it defines Tracer and SPANS; main runs only as a script."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("perfbench_traced", path)
     traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)  # defines SPANS; main runs only as a script
+    spec.loader.exec_module(traced)
+    return traced
+
+
+def test_cli_keeps_every_name_the_benchmark_traces():
+    # perfbench/traced.py patches each SPANS key onto subselect.cli; a missing one fails every traced run
+    traced = _traced()
     missing = [name for name in traced.SPANS if not callable(getattr(cli, name, None))]
     assert traced.SPANS and not missing
+
+
+def test_a_traced_select_both_records_every_layer(corpora, monkeypatch):
+    # the per-layer metrics read 0 if `select` stops calling the layers through cli's namespace
+    traced = _traced()
+    tracer = traced.Tracer()
+    for attr, (name, counters) in traced.SPANS.items():
+        monkeypatch.setattr(cli, attr, tracer.wrap(getattr(cli, attr), name, counters))
+    tmp, ground, in_domain = corpora
+    assert main([
+        "select", "--method", "both", "--in-domain-src", in_domain, "--ground-src", ground,
+        "--max-order", "2", "--lm-order", "2", "--budget-words", "6", "--out-dir", str(tmp / "traced"),
+    ]) == 0
+    top_level = {span["name"] for span in tracer.spans if span["parent"] is None}
+    layers = {"corpus.load", "features.extract", "features.fit_idf", "submodular.select", "lm.train",
+              "xent.score", "xent.rank", "oracle.report", "output.write"}
+    assert layers <= top_level
 
 
 class TestUsageErrors:
@@ -712,12 +748,18 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     def test_installed_entry_point_runs(self):
+        # runpy warns (a RuntimeWarning, here an error) if importing subselect already loaded subselect.cli
         proc = subprocess.run(
-            [sys.executable, "-m", "subselect.cli", "oracle", "--fixture"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "subselect.cli", "oracle", "--fixture"],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert "ratio=1.0" in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, subselect; sys.exit('subselect.cli' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture
